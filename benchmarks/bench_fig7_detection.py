@@ -16,8 +16,10 @@ are identical at any job count).
 
 Each campaign runs with a :class:`MetricsRegistry` attached, and the
 summary test writes ``BENCH_fig7_detection.json`` at the repo root:
-per-workload and aggregate events/sec and steps/sec, the seed numbers
-of the bench trajectory.  A second campaign sweep at ``--opt 3``
+per-workload and aggregate attacks/sec, events/sec and steps/sec, the
+seed numbers of the bench trajectory.  Attacks/sec is the end-to-end
+unit: steps/sec counts only the clean and attack runs' steps, so it
+cannot see a change in how many executions an attack costs.  A second campaign sweep at ``--opt 3``
 (feasible-path-sensitive tables) records its detection rates under
 ``detection_opt3`` — the gated proof that the extra SET entries never
 weaken detection.  The summary also joins every attack against the
@@ -72,6 +74,7 @@ def test_fig7_campaign(benchmark, compiled_workloads, name):
         "seconds": round(elapsed, 6),
         "ipds_events": events,
         "interp_steps": steps,
+        "attacks_per_sec": round(ATTACKS / elapsed, 3) if elapsed else 0,
         "events_per_sec": round(events / elapsed) if elapsed else 0,
         "steps_per_sec": round(steps / elapsed) if elapsed else 0,
         "pct_changed": round(result.pct_changed, 3),
@@ -175,6 +178,7 @@ def test_fig7_summary_shape(benchmark, compiled_workloads):
         total_events = sum(m["ipds_events"] for m in _METRICS.values())
         total_steps = sum(m["interp_steps"] for m in _METRICS.values())
         total_seconds = sum(m["seconds"] for m in _METRICS.values())
+        total_attacks = sum(m["attacks"] for m in _METRICS.values())
         BENCH_OUT.write_text(
             json.dumps(
                 {
@@ -203,6 +207,11 @@ def test_fig7_summary_shape(benchmark, compiled_workloads):
                     "workloads": _METRICS,
                     "total": {
                         "seconds": round(total_seconds, 6),
+                        "attacks": total_attacks,
+                        "attacks_per_sec": (
+                            round(total_attacks / total_seconds, 3)
+                            if total_seconds else 0
+                        ),
                         "ipds_events": total_events,
                         "interp_steps": total_steps,
                         "events_per_sec": (

@@ -7,15 +7,15 @@ overflows, an arbitrary data address (globals included) for format
 strings.  For each attack we record whether the tampering changed the
 program's control flow at all, and whether the IPDS detected it.
 
-Attack recipe (three deterministic runs per attack):
+Attack recipe (two deterministic runs per attack):
 
 1. **clean run** — capture the reference branch trace and how many
    inputs the session consumes;
-2. **probe run** — same inputs, recording the live attack surface at
-   the chosen trigger moment (the attacker casing the binary on their
-   own machine, as the paper assumes);
-3. **attack run** — same inputs plus the tampering, monitored by the
-   IPDS.
+2. **attack run** — same inputs plus the tampering, monitored by the
+   IPDS.  The target word is drawn *at the trigger moment* from the
+   live attack surface there (the attacker casing the binary, as the
+   paper assumes).  Up to the trigger the attack run replays the
+   clean execution, so the draw sees the program's real state there.
 
 Zero false positives is *asserted*, not just measured: the clean run is
 also monitored, and any alarm there fails the campaign loudly.
@@ -28,7 +28,9 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..interp.interpreter import Interpreter, RunStatus, TamperSpec
+from ..interp.interpreter import DeferredTamper, Interpreter, RunStatus
+from ..interp.state import MemoryMap
+from ..ir.function import IRModule
 from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
 from ..pipeline import ProtectedProgram, monitored_run
@@ -60,6 +62,47 @@ def attack_rng(
 ) -> random.Random:
     """An explicit, reproducible RNG for one attack."""
     return random.Random(attack_seed(seed_prefix, workload_name, index))
+
+
+class TargetDraw:
+    """Draws an attack's target word and payload at the trigger moment.
+
+    The :class:`~repro.interp.interpreter.DeferredTamper` chooser of
+    the attack run.  Candidates are the live stack words, plus every
+    global word when the attack is ``wide`` (a format string or a
+    co-resident process reaches any data address), falling back to the
+    globals when the stack offers nothing.  From them it draws
+    ``rng.choice(candidates)`` and then ``rng.choice(TAMPER_VALUES)``.
+    A trigger that never fires (the run ended first) draws the same
+    way from the globals alone, through :meth:`chosen`.
+    """
+
+    def __init__(self, rng: random.Random, wide: bool):
+        self._rng = rng
+        self._wide = wide
+        self._choice: Optional[Tuple[int, str, str, int]] = None
+
+    def __call__(self, interpreter: Interpreter) -> Tuple[int, int]:
+        memory = interpreter.memory
+        candidates = memory.live_stack_slots(interpreter.live_activations())
+        if self._wide:
+            candidates.extend(memory.global_slots())
+        if not candidates:
+            candidates = memory.global_slots()
+        return self._draw(candidates)
+
+    def _draw(self, candidates: List[Tuple[int, str, str]]) -> Tuple[int, int]:
+        address, owner, var_name = self._rng.choice(candidates)
+        value = self._rng.choice(TAMPER_VALUES)
+        self._choice = (address, owner, var_name, value)
+        return address, value
+
+    def chosen(self, module: IRModule) -> Tuple[int, str, str, int]:
+        """``(address, owner, variable, value)`` of the drawn target,
+        drawn from ``module``'s globals if the trigger never fired."""
+        if self._choice is None:
+            self._draw(MemoryMap(module).global_slots())
+        return self._choice
 
 
 class CampaignError(ReproError):
@@ -243,7 +286,7 @@ def run_attack(
     flight_recorder_depth: int = DEFAULT_DEPTH,
     timing_mode: Optional[str] = None,
 ) -> AttackOutcome:
-    """Run one independent attack (clean + probe + attack runs).
+    """Run one independent attack (clean + attack runs).
 
     ``attack_model`` selects the paper's §3 threat models:
 
@@ -330,11 +373,10 @@ def run_attack_detailed(
             f"{clean_ipds.alarms[0]}"
         )
 
-    # 2. Choose the trigger and probe the attack surface there.
+    # 2. Choose the trigger; the attack run draws its target there.
     if attack_model == "process":
         trigger_kind = "step"
         trigger = rng.randint(1, max(2, clean.steps - 1))
-        probe_spec = ("step", trigger)
     else:
         trigger_kind = "read"
         max_trigger = max(clean.reads_consumed, workload.min_trigger_read)
@@ -342,26 +384,13 @@ def run_attack_detailed(
             workload.min_trigger_read,
             max(workload.min_trigger_read, max_trigger),
         )
-        probe_spec = ("read", trigger)
-    probe_interp = Interpreter(
-        program.module,
-        inputs=inputs,
-        probe=probe_spec,
-        step_limit=step_limit,
+    draw = TargetDraw(
+        rng, wide=attack_model == "process" or workload.vuln_kind == "fmt"
     )
-    probe_interp.run()
-    candidates: List[Tuple[int, str, str]] = list(probe_interp.probe_slots)
-    if attack_model == "process" or workload.vuln_kind == "fmt":
-        candidates.extend(probe_interp.memory.global_slots())
-    if not candidates:
-        candidates = probe_interp.memory.global_slots()
-
-    address, owner, var_name = rng.choice(candidates)
-    value = rng.choice(TAMPER_VALUES)
 
     # 3. The attack run (flight-recorded when forensics is on, timed
     # when a timing mode is selected).
-    tamper = TamperSpec(trigger_kind, trigger, address, value)
+    tamper = DeferredTamper(trigger_kind, trigger, draw)
     recorder = FlightRecorder(flight_recorder_depth) if forensics else None
     timing_model = None
     if timing_mode is not None:
@@ -386,6 +415,7 @@ def run_attack_detailed(
         alarm_sink=alarm_sink,
     )
     attack_seconds = time.perf_counter() - attack_started
+    address, owner, var_name, value = draw.chosen(program.module)
     reports: List[object] = []
     explanations: Tuple[str, ...] = ()
     proof_reasons: Tuple[str, ...] = ()
@@ -407,7 +437,7 @@ def run_attack_detailed(
     )
     if metrics is not None:
         metrics.increment("campaign.attacks")
-        metrics.increment("campaign.executions", 3)  # clean + probe + attack
+        metrics.increment("campaign.executions", 2)  # clean + attack
         metrics.increment("interp.steps", clean.steps + attacked.steps)
         metrics.increment(
             "ipds.events", clean_ipds.stats.events + ipds.stats.events

@@ -1,6 +1,7 @@
 """Execution substrate: memory map, IR interpreter, tamper injection."""
 
 from .interpreter import (
+    DeferredTamper,
     EventListener,
     Interpreter,
     InterpreterError,
@@ -12,6 +13,7 @@ from .interpreter import (
 from .state import FrameLayout, GLOBAL_BASE, MemoryMap, STACK_BASE, layout_frame
 
 __all__ = [
+    "DeferredTamper",
     "EventListener",
     "FrameLayout",
     "GLOBAL_BASE",

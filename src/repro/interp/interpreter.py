@@ -13,14 +13,18 @@ The attack trigger mirrors the paper's methodology: the tampering fires
 when the program consumes its *n*-th input (the "malicious input"
 moment) or at a raw step count, and overwrites a single chosen word —
 "our attack tampers only a (randomly selected) specific local stack
-location rather than a continuous memory block" (§6).
+location rather than a continuous memory block" (§6).  The word is
+either fixed up front (:class:`TamperSpec`) or chosen from the live
+state at the trigger moment (:class:`DeferredTamper`), which lets a
+campaign pick a live stack slot and corrupt it in one execution.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.function import IRFunction, IRModule
 from ..ir.instructions import (
@@ -34,8 +38,8 @@ from ..ir.instructions import (
     Jump,
     Load,
     LoadIndirect,
-    Operand,
     Reg,
+    RelOp,
     Return,
     Store,
     StoreIndirect,
@@ -45,6 +49,19 @@ from ..lang.errors import ReproError
 from ..runtime.events import BranchEvent, CallEvent, Event, ReturnEvent
 from ..runtime.observer import build_bus
 from .state import MemoryMap, STACK_BASE
+
+
+#: Relational operators keyed by their spelling: a ``str`` key hashes in
+#: C from its cached hash, where an ``Enum`` member's ``__hash__`` is a
+#: Python-level call.
+_RELOP_EVAL: Dict[str, Callable[[int, int], bool]] = {
+    RelOp.LT.value: operator.lt,
+    RelOp.LE.value: operator.le,
+    RelOp.GT.value: operator.gt,
+    RelOp.GE.value: operator.ge,
+    RelOp.EQ.value: operator.eq,
+    RelOp.NE.value: operator.ne,
+}
 
 
 class InterpreterError(ReproError):
@@ -77,18 +94,59 @@ class TamperSpec:
     value: int
 
     def __post_init__(self) -> None:
-        if self.trigger_kind not in ("read", "step"):
-            raise ValueError(f"bad trigger kind {self.trigger_kind!r}")
+        _check_trigger_kind(self.trigger_kind)
+
+    def target(self, interpreter: "Interpreter") -> Tuple[int, int]:
+        """The ``(address, value)`` written when the trigger fires."""
+        return self.address, self.value
+
+
+#: Picks a deferred tampering's ``(address, value)`` from the
+#: interpreter's state at the trigger moment.
+TargetChooser = Callable[["Interpreter"], Tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class DeferredTamper:
+    """A tampering whose target is chosen when its trigger fires.
+
+    Same triggers as :class:`TamperSpec`, but the corrupted word and
+    its new value come from ``choose``, called with the interpreter at
+    the trigger moment — before the write, with the live frames and
+    memory exactly as an attacker casing the program there would see
+    them.  One execution both picks the target and attacks it.
+    """
+
+    trigger_kind: str
+    trigger_value: int
+    choose: TargetChooser
+
+    def __post_init__(self) -> None:
+        _check_trigger_kind(self.trigger_kind)
+
+    def target(self, interpreter: "Interpreter") -> Tuple[int, int]:
+        return self.choose(interpreter)
+
+
+#: Either kind of tampering an :class:`Interpreter` accepts.
+Tamper = Union[TamperSpec, DeferredTamper]
+
+
+def _check_trigger_kind(kind: str) -> None:
+    if kind not in ("read", "step"):
+        raise ValueError(f"bad trigger kind {kind!r}")
 
 
 @dataclass
 class _Activation:
     function: IRFunction
     frame_base: int
-    regs: Dict[Reg, int] = field(default_factory=dict)
+    #: Register file keyed by ``Reg.index``.
+    regs: Dict[int, int] = field(default_factory=dict)
     block_label: str = ""
     index: int = 0
-    return_reg: Optional[Reg] = None
+    #: ``Reg.index`` of the caller's register receiving the return value.
+    return_reg: Optional[int] = None
     #: The current block's instruction list, cached so the hot loop
     #: indexes a list instead of re-resolving ``function.block(label)``
     #: every step.  Kept in lockstep with ``block_label``.
@@ -148,11 +206,10 @@ class Interpreter:
         entry: str = "main",
         step_limit: int = 2_000_000,
         call_depth_limit: int = 256,
-        tamper: Optional[TamperSpec] = None,
+        tamper: Optional[Tamper] = None,
         event_listeners: Sequence[EventListener] = (),
         instruction_listener: Optional[InstructionListener] = None,
         trace_branches: bool = True,
-        probe: Optional[Tuple[str, int]] = None,
         syscall_listener: Optional[Callable[[str, int], None]] = None,
         observers: Sequence[object] = (),
         batched_delivery: bool = True,
@@ -210,18 +267,21 @@ class Interpreter:
         self._syscall_listener = syscall_listener
         self._trace_branches = trace_branches
         self.memory = MemoryMap(module)
+        # The hot loop reads the layout's slot table and the word store
+        # directly (see ``_step``).
+        self._layout = self.memory.layout
+        self._slots = self._layout.slots
+        self._words = self.memory.words
+        # Callee lookup by name, first definition wins (as
+        # ``IRModule.function``), without a per-call linear scan.
+        self._functions: Dict[str, IRFunction] = {}
+        for fn in module.functions:
+            self._functions.setdefault(fn.name, fn)
         self._stack: List[_Activation] = []
         self._next_frame_base = STACK_BASE
         self._outputs: List[int] = []
         self._branch_trace: List[Tuple[int, bool]] = []
         self._steps = 0
-        # Probe mode: like a tamper trigger, but instead of corrupting
-        # memory it records the attack surface (the attacker casing the
-        # program on their own machine).  (kind, value) as in TamperSpec.
-        self._probe = probe
-        self._probe_fired = False
-        #: Live stack words at the probe moment: (address, fn, var).
-        self.probe_slots: List[Tuple[int, str, str]] = []
 
     # -- public API -----------------------------------------------------
 
@@ -269,10 +329,11 @@ class Interpreter:
             )
 
     def _push_activation(
-        self, fn: IRFunction, args: Sequence[int], return_reg: Optional[Reg]
+        self, fn: IRFunction, args: Sequence[int], return_reg: Optional[int]
     ) -> _Activation:
         base = self._next_frame_base
-        self._next_frame_base += self.memory.frame_size(fn.name)
+        size, param_slots = self._layout.frames[fn.name]
+        self._next_frame_base += size
         entry_block = fn.entry
         activation = _Activation(
             function=fn,
@@ -282,10 +343,9 @@ class Interpreter:
             return_reg=return_reg,
             instructions=entry_block.instructions,
         )
-        for param, value in zip(fn.params, args):
-            self.memory.write(
-                self.memory.address_of(param, base), value
-            )
+        words = self._words
+        for slot, value in zip(param_slots, args):
+            words[slot if slot >= 0 else base + ~slot] = value
         self._stack.append(activation)
         if self._emit_call is not None:
             if self._buffer_count:
@@ -306,46 +366,26 @@ class Interpreter:
             )
         return value
 
-    def _value(self, activation: _Activation, operand: Operand) -> int:
-        if isinstance(operand, Reg):
-            return activation.regs[operand]
-        return operand
-
-    def _maybe_probe(self, kind: str, count: int) -> None:
-        if (
-            self._probe is not None
-            and not self._probe_fired
-            and self._probe[0] == kind
-            and count >= self._probe[1]
-        ):
-            self.probe_slots = self.memory.live_stack_slots(
-                self.live_activations()
-            )
-            self._probe_fired = True
-
     def _maybe_tamper_after_read(self) -> None:
-        self._maybe_probe("read", self._input_cursor)
+        tamper = self._tamper
         if (
-            self._tamper is not None
+            tamper is not None
             and not self._tamper_fired
-            and self._tamper.trigger_kind == "read"
-            and self._input_cursor >= self._tamper.trigger_value
+            and tamper.trigger_kind == "read"
+            and self._input_cursor >= tamper.trigger_value
         ):
-            self.memory.write(self._tamper.address, self._tamper.value)
-            self._tamper_fired = True
-            self._record_tamper_site()
+            self._fire_tamper()
 
-    def _maybe_tamper_after_step(self) -> None:
-        self._maybe_probe("step", self._steps)
-        if (
-            self._tamper is not None
-            and not self._tamper_fired
-            and self._tamper.trigger_kind == "step"
-            and self._steps >= self._tamper.trigger_value
-        ):
-            self.memory.write(self._tamper.address, self._tamper.value)
-            self._tamper_fired = True
-            self._record_tamper_site()
+    def _fire_tamper(self) -> None:
+        """Corrupt the tamper's target word and record the site.
+
+        The target is resolved first, so a :class:`DeferredTamper`'s
+        chooser sees memory as it was just before the corruption.
+        """
+        address, value = self._tamper.target(self)
+        self.memory.write(address, value)
+        self._tamper_fired = True
+        self._record_tamper_site()
 
     def _record_tamper_site(self) -> None:
         """Snapshot the frame stack at the corruption moment.
@@ -383,11 +423,18 @@ class Interpreter:
         step_limit = self._step_limit
         depth_limit = self._call_depth_limit
         emit_instruction = self._emit_instruction
-        maybe_tamper = self._maybe_tamper_after_step
         batching = self._batch_sink is not None
         buffer_instructions = self._buffer_instructions
         buffer_touched = self._buffer_touched
         flush = self._flush_events
+        # A step trigger is checked only while one is armed; read
+        # triggers fire from ``_read_input`` instead.
+        tamper = self._tamper
+        step_trigger = (
+            tamper.trigger_value
+            if tamper is not None and tamper.trigger_kind == "step"
+            else None
+        )
         while stack:
             if self._steps >= step_limit:
                 return RunStatus.STEP_LIMIT, None
@@ -411,7 +458,9 @@ class Interpreter:
                     flush()
             elif emit_instruction is not None:
                 emit_instruction(instruction, outcome)
-            maybe_tamper()
+            if step_trigger is not None and self._steps >= step_trigger:
+                step_trigger = None
+                self._fire_tamper()
             if not stack:
                 # Entry function returned; final value captured below.
                 final_value = self._final_value
@@ -432,52 +481,41 @@ class Interpreter:
         Dispatch compares ``instruction.__class__`` by identity —
         cheaper than an isinstance chain, and exact because the IR
         instruction set is closed (no concrete class is subclassed).
-        Arms are ordered by dynamic frequency in the workload suite.
+        Arms are ordered by dynamic frequency in the workload suite,
+        which is the same at opt 0 and opt 3 (``Const``, ``Cmp`` and
+        ``UnOp`` barely execute there).
+        Nothing here hashes an IR object: registers are keyed by
+        ``Reg.index``, variables resolve through the module layout's
+        identity-keyed slot table, and relational operators through
+        their spelling.
         """
         regs = activation.regs
         cls = instruction.__class__
         touched: Optional[int] = None
         advance = True
 
-        if cls is BinOp:
+        if cls is Load:
+            slot = self._slots[id(instruction)]
+            address = slot if slot >= 0 else activation.frame_base + ~slot
+            regs[instruction.dest.index] = self._words.get(address, 0)
+            touched = address
+        elif cls is BinOp:
             lhs = instruction.lhs
             if lhs.__class__ is Reg:
-                lhs = regs[lhs]
+                lhs = regs[lhs.index]
             rhs = instruction.rhs
             if rhs.__class__ is Reg:
-                rhs = regs[rhs]
-            regs[instruction.dest] = self._binop(instruction.op, lhs, rhs)
-        elif cls is Const:
-            regs[instruction.dest] = instruction.value
-        elif cls is Cmp:
-            lhs = instruction.lhs
-            if lhs.__class__ is Reg:
-                lhs = regs[lhs]
-            rhs = instruction.rhs
-            if rhs.__class__ is Reg:
-                rhs = regs[rhs]
-            regs[instruction.dest] = int(instruction.op.evaluate(lhs, rhs))
-        elif cls is Load:
-            address = self.memory.address_of(
-                instruction.var, activation.frame_base
+                rhs = regs[rhs.index]
+            op = instruction.op
+            regs[instruction.dest.index] = (
+                lhs + rhs if op == "+" else self._binop(op, lhs, rhs)
             )
-            regs[instruction.dest] = self.memory.read(address)
-            touched = address
-        elif cls is Store:
-            address = self.memory.address_of(
-                instruction.var, activation.frame_base
-            )
-            src = instruction.src
-            self.memory.write(
-                address, regs[src] if src.__class__ is Reg else src
-            )
-            touched = address
         elif cls is CondBranch:
-            lhs = regs[instruction.lhs]
+            lhs = regs[instruction.lhs.index]
             rhs = instruction.rhs
             if rhs.__class__ is Reg:
-                rhs = regs[rhs]
-            taken = instruction.op.evaluate(lhs, rhs)
+                rhs = regs[rhs.index]
+            taken = _RELOP_EVAL[instruction.op._value_](lhs, rhs)
             if self._trace_branches:
                 self._branch_trace.append((instruction.address, taken))
             if self._emit_branch is not None:
@@ -505,36 +543,53 @@ class Interpreter:
             advance = False
         elif cls is Call:
             advance = self._call(activation, instruction)
-        elif cls is UnOp:
-            src = instruction.src
-            if src.__class__ is Reg:
-                src = regs[src]
-            regs[instruction.dest] = -src if instruction.op == "-" else int(src == 0)
         elif cls is AddrOf:
-            regs[instruction.dest] = self.memory.address_of(
-                instruction.var, activation.frame_base
+            slot = self._slots[id(instruction)]
+            regs[instruction.dest.index] = (
+                slot if slot >= 0 else activation.frame_base + ~slot
             )
         elif cls is LoadIndirect:
-            address = regs[instruction.addr]
-            regs[instruction.dest] = self.memory.read(address)
+            address = regs[instruction.addr.index]
+            regs[instruction.dest.index] = self._words.get(address, 0)
+            touched = address
+        elif cls is Store:
+            slot = self._slots[id(instruction)]
+            address = slot if slot >= 0 else activation.frame_base + ~slot
+            src = instruction.src
+            self._words[address] = regs[src.index] if src.__class__ is Reg else src
             touched = address
         elif cls is StoreIndirect:
-            address = regs[instruction.addr]
+            address = regs[instruction.addr.index]
             src = instruction.src
-            self.memory.write(
-                address, regs[src] if src.__class__ is Reg else src
-            )
+            self._words[address] = regs[src.index] if src.__class__ is Reg else src
             touched = address
         elif cls is Return:
-            value = (
-                self._value(activation, instruction.value)
-                if instruction.value is not None
-                else None
-            )
+            value = instruction.value
+            if value.__class__ is Reg:
+                value = regs[value.index]
             if len(self._stack) == 1:
                 self._final_value = value
             self._pop_activation(value)
             advance = False
+        elif cls is Const:
+            regs[instruction.dest.index] = instruction.value
+        elif cls is Cmp:
+            lhs = instruction.lhs
+            if lhs.__class__ is Reg:
+                lhs = regs[lhs.index]
+            rhs = instruction.rhs
+            if rhs.__class__ is Reg:
+                rhs = regs[rhs.index]
+            regs[instruction.dest.index] = int(
+                _RELOP_EVAL[instruction.op._value_](lhs, rhs)
+            )
+        elif cls is UnOp:
+            src = instruction.src
+            if src.__class__ is Reg:
+                src = regs[src.index]
+            regs[instruction.dest.index] = (
+                -src if instruction.op == "-" else int(src == 0)
+            )
         else:  # pragma: no cover - defensive
             raise InterpreterError(f"unknown instruction {instruction!r}")
 
@@ -543,23 +598,34 @@ class Interpreter:
         return touched
 
     def _call(self, activation: _Activation, instruction: Call) -> bool:
-        args = [self._value(activation, a) for a in instruction.args]
+        regs = activation.regs
+        args = [
+            regs[arg.index] if arg.__class__ is Reg else arg
+            for arg in instruction.args
+        ]
         if self._syscall_listener is not None:
             # Keep the coarse syscall channel interleaved exactly as the
             # per-instruction path would: drain buffered events first.
             if self._buffer_count:
                 self._flush_events()
             self._syscall_listener(instruction.callee, instruction.address)
+        dest = instruction.dest
         if instruction.callee == "read_int":
-            activation.regs[instruction.dest] = self._read_input()
+            value = self._read_input()
+            if dest is not None:
+                regs[dest.index] = value
             return True
         if instruction.callee == "emit":
             self._outputs.append(args[0])
             return True
-        callee = self._module.function(instruction.callee)
+        callee = self._functions.get(instruction.callee)
+        if callee is None:
+            callee = self._module.function(instruction.callee)  # raises
         # Advance the caller past the call before transferring control.
         activation.index += 1
-        self._push_activation(callee, args, instruction.dest)
+        self._push_activation(
+            callee, args, dest.index if dest is not None else None
+        )
         return False
 
     @staticmethod
@@ -587,7 +653,7 @@ def run_program(
     module: IRModule,
     inputs: Sequence[int] = (),
     entry: str = "main",
-    tamper: Optional[TamperSpec] = None,
+    tamper: Optional[Tamper] = None,
     event_listeners: Sequence[EventListener] = (),
     step_limit: int = 2_000_000,
     observers: Sequence[object] = (),

@@ -19,11 +19,12 @@ paper assumes.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.function import IRFunction, IRModule
-from ..ir.instructions import Variable
+from ..ir.instructions import AddrOf, Instruction, Load, Store, Variable
 
 #: First word address of the globals segment.
 GLOBAL_BASE = 0x0000_1000
@@ -50,11 +51,22 @@ def layout_frame(fn: IRFunction) -> FrameLayout:
     return FrameLayout(fn.name, offsets, cursor)
 
 
-class MemoryMap:
-    """Address assignment plus the flat word store."""
+class ModuleLayout:
+    """A module's address assignment, computed once and shared by every run.
+
+    Holds the variable-keyed maps (global addresses, frame layouts) and
+    the identity-keyed table the interpreter's hot loop reads instead:
+    ``slots`` maps ``id(instruction)`` of each ``Load``/``Store``/
+    ``AddrOf`` to its variable's *slot* — a global's absolute address
+    (``>= 0``) or a local's frame offset ``o`` encoded as ``~o``
+    (``< 0``).  The table covers the module's instructions as they are
+    when the layout is first built; optimization passes only rewrite
+    or drop memory instructions, never add them.  The covered
+    instructions are kept alive, so no later object can take one of
+    their ids and silently inherit its slot.
+    """
 
     def __init__(self, module: IRModule):
-        self._module = module
         self.global_addresses: Dict[Variable, int] = {}
         cursor = GLOBAL_BASE
         for var in module.globals:
@@ -65,17 +77,76 @@ class MemoryMap:
             fn.name: layout_frame(fn) for fn in module.functions
         }
         # Flattened local-offset index: first owning frame wins, in
-        # declaration order, so ``address_of`` resolves locals with one
-        # dict probe instead of a per-access linear scan over every
-        # frame layout.
+        # declaration order.
         self._local_offsets: Dict[Variable, int] = {}
         for layout in self.frame_layouts.values():
             for var, offset in layout.offsets.items():
                 if var not in self._local_offsets:
                     self._local_offsets[var] = offset
-        self.words: Dict[int, int] = {}
-        for var, value in module.global_inits.items():
-            self.words[self.global_addresses[var]] = value
+        self.initial_words: Dict[int, int] = {
+            self.global_addresses[var]: value
+            for var, value in module.global_inits.items()
+        }
+        self._covered: List[Instruction] = [
+            instruction
+            for fn in module.functions
+            for instruction in fn.instructions()
+            if instruction.__class__ in (Load, Store, AddrOf)
+        ]
+        self.slots: Dict[int, int] = {}
+        for instruction in self._covered:
+            try:
+                self.slots[id(instruction)] = self.slot(instruction.var)
+            except KeyError:
+                pass  # executing it raises KeyError, as address_of does
+        #: function name -> (frame size, parameter slots in order)
+        self.frames: Dict[str, Tuple[int, Tuple[int, ...]]] = {
+            fn.name: (
+                self.frame_layouts[fn.name].size,
+                tuple(self.slot(param) for param in fn.params),
+            )
+            for fn in module.functions
+        }
+
+    def slot(self, var: Variable) -> int:
+        """``var``'s slot: its global address, or ``~offset`` for a local."""
+        address = self.global_addresses.get(var)
+        if address is not None:
+            return address
+        offset = self._local_offsets.get(var)
+        if offset is None:
+            raise KeyError(f"variable {var} has no frame")
+        return ~offset
+
+
+#: ``id(module)`` -> its layout; entries leave with their module.
+_LAYOUTS: Dict[int, ModuleLayout] = {}
+
+
+def module_layout(module: IRModule) -> ModuleLayout:
+    """The module's cached :class:`ModuleLayout`, built on first use.
+
+    Kept beside the module rather than on it, so pickling a module
+    (the compile cache, shard hand-off) never carries identity-keyed
+    state into another process.
+    """
+    layout = _LAYOUTS.get(id(module))
+    if layout is None:
+        layout = ModuleLayout(module)
+        _LAYOUTS[id(module)] = layout
+        weakref.finalize(module, _LAYOUTS.pop, id(module), None)
+    return layout
+
+
+class MemoryMap:
+    """Address assignment plus the flat word store."""
+
+    def __init__(self, module: IRModule):
+        self.layout = module_layout(module)
+        self.global_addresses = self.layout.global_addresses
+        self.global_end = self.layout.global_end
+        self.frame_layouts = self.layout.frame_layouts
+        self.words: Dict[int, int] = dict(self.layout.initial_words)
 
     # -- addressing -----------------------------------------------------
 
@@ -83,15 +154,12 @@ class MemoryMap:
         self, var: Variable, frame_base: Optional[int]
     ) -> int:
         """Address of a variable; locals need the activation's base."""
-        address = self.global_addresses.get(var)
-        if address is not None:
-            return address
+        slot = self.layout.slot(var)
+        if slot >= 0:
+            return slot
         if frame_base is None:
             raise KeyError(f"no frame base for local {var}")
-        offset = self._local_offsets.get(var)
-        if offset is None:
-            raise KeyError(f"variable {var} has no frame")
-        return frame_base + offset
+        return frame_base + ~slot
 
     def frame_size(self, function_name: str) -> int:
         return self.frame_layouts[function_name].size

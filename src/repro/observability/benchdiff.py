@@ -117,6 +117,16 @@ DEFAULT_RULES: Tuple[MetricRule, ...] = (
         min_delta=30_000.0,
         direction="higher",
     ),
+    # The campaign's end-to-end unit.  Steps/sec above cannot see a
+    # change in executions per attack (only clean and attack steps are
+    # counted), so the attack rate is gated on its own.
+    MetricRule(
+        "fig7_detection",
+        ("total", "attacks_per_sec"),
+        max_change_pct=25.0,
+        min_delta=20.0,
+        direction="higher",
+    ),
     MetricRule(
         "compile_time",
         ("total", "opt0_seconds"),

@@ -137,6 +137,7 @@ def test_default_rules_gate_throughput_direction_aware():
         ("summary", "full_stack_steps_per_sec"),
         ("summary", "full_stack_segment_steps_per_sec"),
         ("total", "steps_per_sec"),
+        ("total", "attacks_per_sec"),
     ):
         assert by_path[path].direction == "higher", path
         assert by_path[path].min_delta > 0, path  # noise floor declared

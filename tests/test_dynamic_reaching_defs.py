@@ -69,7 +69,7 @@ def test_dynamic_writers_are_statically_reaching(source, inputs):
             return original_step(activation, instruction)
         if isinstance(instruction, StoreIndirect):
             result = original_step(activation, instruction)
-            address = activation.regs[instruction.addr]
+            address = activation.regs[instruction.addr.index]
             last_writer[address] = ("indirect",)
             return result
         if isinstance(instruction, Load):

@@ -72,7 +72,7 @@ def test_check_predicates_match_execution(source, inputs):
         if isinstance(instruction, Load):
             result = original_step(activation, instruction)
             last_load_value[id(instruction)] = activation.regs[
-                instruction.dest
+                instruction.dest.index
             ]
             return result
         if isinstance(instruction, CondBranch):
@@ -82,11 +82,11 @@ def test_check_predicates_match_execution(source, inputs):
                 if load is not None and id(load) in last_load_value:
                     value = last_load_value[id(load)]
                     predicted = branch_facts.check.outcome_for_value(value)
-                    lhs = activation.regs[instruction.lhs]
+                    lhs = activation.regs[instruction.lhs.index]
                     rhs = (
                         instruction.rhs
                         if isinstance(instruction.rhs, int)
-                        else activation.regs[instruction.rhs]
+                        else activation.regs[instruction.rhs.index]
                     )
                     actual = instruction.op.evaluate(lhs, rhs)
                     if predicted != actual:

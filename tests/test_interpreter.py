@@ -4,7 +4,15 @@ import pytest
 
 from repro.lang import parse_program
 from repro.ir import lower_program
-from repro.interp import GLOBAL_BASE, Interpreter, MemoryMap, RunStatus, TamperSpec, run_program
+from repro.interp import (
+    GLOBAL_BASE,
+    DeferredTamper,
+    Interpreter,
+    MemoryMap,
+    RunStatus,
+    TamperSpec,
+    run_program,
+)
 from repro.runtime import BranchEvent, CallEvent, ReturnEvent
 
 
@@ -315,18 +323,58 @@ def test_tamper_changes_control_flow():
     assert clean.branch_trace != attacked.branch_trace
 
 
-def test_probe_mode_records_stack_slots():
+def test_deferred_tamper_chooser_sees_stack_slots():
     source = """
     void helper(int a) { int local = read_int(); emit(local + a); }
     void main() { int x = 3; helper(x); }
     """
     module = lower(source)
-    interp = Interpreter(module, inputs=[4], probe=("read", 1))
-    interp.run()
-    names = {(fn, var) for _, fn, var in interp.probe_slots}
+    slots = []
+
+    def choose(interp):
+        slots.extend(
+            interp.memory.live_stack_slots(interp.live_activations())
+        )
+        return slots[0][0], 0
+
+    interp = Interpreter(
+        module, inputs=[4], tamper=DeferredTamper("read", 1, choose)
+    )
+    result = interp.run()
+    assert result.tamper_fired
+    names = {(fn, var) for _, fn, var in slots}
     assert ("main", "x") in names
     assert ("helper", "local") in names
     assert ("helper", "a") in names
+
+
+def test_hot_loop_never_hashes_variables_or_registers(monkeypatch):
+    """After one warm-up run has built each module's layout, a bare run
+    resolves variables through the identity-keyed slot table and reads
+    registers by index: hashing a ``Variable`` or ``Reg`` raises."""
+    import random
+
+    from repro.ir.instructions import Reg, Variable
+    from repro.pipeline import compile_program_cached
+    from repro.workloads import all_workloads
+
+    runs = []
+    for workload in all_workloads():
+        program = compile_program_cached(workload.source, workload.name, 0)
+        warm_up = workload.make_inputs(random.Random(f"warm:{workload.name}"))
+        Interpreter(program.module, inputs=warm_up).run()
+        inputs = workload.make_inputs(random.Random(f"run:{workload.name}"))
+        runs.append((workload.name, program.module, inputs))
+
+    def unhashable(self):
+        raise AssertionError(f"hashed {self!r}")
+
+    monkeypatch.setattr(Variable, "__hash__", unhashable)
+    monkeypatch.setattr(Reg, "__hash__", unhashable)
+    for name, module, inputs in runs:
+        result = Interpreter(module, inputs=inputs).run()
+        assert result.status is RunStatus.OK, name
+        assert result.steps > 0, name
 
 
 def test_invalid_tamper_trigger_rejected():

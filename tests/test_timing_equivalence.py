@@ -124,8 +124,8 @@ def test_unbatched_reference_matches_golden(name, opt):
     "name,opt", CELLS, ids=[f"{n}-opt{o}" for n, o in CELLS]
 )
 def test_attack_outcomes_and_alarms_match_golden(name, opt):
-    """The campaign recipe — clean + probe + attack runs, IPDS alarm
-    strings included — is byte-identical to the pre-batching capture."""
+    """The campaign recipe — clean + attack runs, IPDS alarm strings
+    included — is byte-identical to the pre-batching capture."""
     golden = GOLDEN["workloads"][name][f"opt{opt}"]["attacks"]
     program = _program(name, opt)
     workload = WORKLOADS[name]
