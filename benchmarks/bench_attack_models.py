@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.attacks import run_workload_campaign
+from repro.attacks import RunSpec, run_campaign
 
 ATTACKS = int(os.environ.get("REPRO_FIG7_ATTACKS", "30"))
 JOBS = int(os.environ.get("REPRO_FIG7_JOBS", "1"))
@@ -28,9 +28,9 @@ def test_attack_model(benchmark, compiled_workloads, name, model):
     def campaign():
         # Compiles resolve through the content-addressed cache (warmed
         # by the session fixture); REPRO_FIG7_JOBS>1 shards the attacks.
-        return run_workload_campaign(
-            workload, attacks=ATTACKS, attack_model=model, jobs=JOBS
-        )
+        return run_campaign(
+            [workload], ATTACKS, RunSpec(attack_model=model), jobs=JOBS
+        ).results[0]
 
     result = benchmark.pedantic(campaign, rounds=1, iterations=1)
     _RESULTS[(name, model)] = result

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.attacks import CampaignSummary, run_workload_campaign
+from repro.attacks import CampaignSummary, RunSpec, run_campaign
 from repro.observability import MetricsRegistry
 from repro.parallel import compile_cache_stats
 from repro.reporting import render_figure7
@@ -58,9 +58,9 @@ def test_fig7_campaign(benchmark, compiled_workloads, name):
     registry = MetricsRegistry()
 
     def campaign():
-        return run_workload_campaign(
-            workload, attacks=ATTACKS, jobs=JOBS, metrics=registry
-        )
+        return run_campaign(
+            [workload], ATTACKS, jobs=JOBS, metrics=registry
+        ).results[0]
 
     start = time.perf_counter()
     result = benchmark.pedantic(campaign, rounds=1, iterations=1)
@@ -106,9 +106,9 @@ def test_fig7_campaign_opt3(benchmark, compiled_workloads, name):
     workload, _ = compiled_workloads[name]
 
     def campaign():
-        return run_workload_campaign(
-            workload, attacks=ATTACKS, jobs=JOBS, opt_level=3
-        )
+        return run_campaign(
+            [workload], ATTACKS, RunSpec(opt_level=3), jobs=JOBS
+        ).results[0]
 
     result = benchmark.pedantic(campaign, rounds=1, iterations=1)
     _OPT3_RESULTS[name] = result
@@ -128,19 +128,15 @@ def test_fig7_summary_shape(benchmark, compiled_workloads):
     def summarize():
         for name in workload_names():
             if name not in _RESULTS:
-                workload, program = compiled_workloads[name]
-                _RESULTS[name] = run_workload_campaign(
-                    workload, attacks=ATTACKS, program=program
-                )
+                _RESULTS[name] = run_campaign([name], ATTACKS).results[0]
         return CampaignSummary([_RESULTS[n] for n in workload_names()])
 
     summary = benchmark.pedantic(summarize, rounds=1, iterations=1)
     for name in workload_names():
         if name not in _OPT3_RESULTS:
-            workload, _ = compiled_workloads[name]
-            _OPT3_RESULTS[name] = run_workload_campaign(
-                workload, attacks=ATTACKS, opt_level=3
-            )
+            _OPT3_RESULTS[name] = run_campaign(
+                [name], ATTACKS, RunSpec(opt_level=3)
+            ).results[0]
     opt3_summary = CampaignSummary(
         [_OPT3_RESULTS[n] for n in workload_names()]
     )

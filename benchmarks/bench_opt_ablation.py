@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.attacks import run_workload_campaign
+from repro.attacks import RunSpec, run_campaign
 from repro.pipeline import compile_program
 from repro.workloads import all_workloads, workload_names
 
@@ -56,15 +56,9 @@ def test_opt_ablation_per_workload(benchmark, name):
     benchmark.extra_info["sets_opt2"] = _set_entries(opt2)
     benchmark.extra_info["sets_opt3"] = _set_entries(opt3)
 
-    plain_result = run_workload_campaign(
-        workload, attacks=ATTACKS, program=plain
-    )
-    opt_result = run_workload_campaign(workload, attacks=ATTACKS, program=opt)
-    opt2_result = run_workload_campaign(
-        workload, attacks=ATTACKS, program=opt2
-    )
-    opt3_result = run_workload_campaign(
-        workload, attacks=ATTACKS, program=opt3
+    plain_result, opt_result, opt2_result, opt3_result = (
+        run_campaign([name], ATTACKS, RunSpec(opt_level=opt_level)).results[0]
+        for opt_level in (0, 1, 2, 3)
     )
     _DETECTED[name] = (
         plain_result.pct_detected,

@@ -13,11 +13,12 @@ Knobs: ``REPRO_PAR_ATTACKS`` (default 20 attacks/workload),
 import os
 import time
 
-from repro.attacks import run_campaign
+from repro.attacks import RunSpec, run_campaign
 from repro.parallel import compile_cache_stats
 
 ATTACKS = int(os.environ.get("REPRO_PAR_ATTACKS", "20"))
 JOBS = int(os.environ.get("REPRO_PAR_JOBS", "4"))
+SPEC = RunSpec(seed_prefix="par:")
 
 
 def _cores() -> int:
@@ -28,13 +29,16 @@ def _cores() -> int:
 
 
 def test_parallel_campaign_speedup(benchmark):
+    # Other benchmarks in the same session fill the process-wide cache
+    # counters; count only this campaign's lookups.
+    before = compile_cache_stats()
     t0 = time.perf_counter()
-    serial = run_campaign(attacks=ATTACKS, seed_prefix="par:", jobs=1)
+    serial = run_campaign(None, ATTACKS, SPEC, jobs=1)
     serial_secs = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     sharded = benchmark.pedantic(
-        lambda: run_campaign(attacks=ATTACKS, seed_prefix="par:", jobs=JOBS),
+        lambda: run_campaign(None, ATTACKS, SPEC, jobs=JOBS),
         rounds=1,
         iterations=1,
     )
@@ -47,7 +51,7 @@ def test_parallel_campaign_speedup(benchmark):
     for left, right in zip(serial.results, sharded.results):
         assert left.attacks == right.attacks, left.workload
 
-    stats = compile_cache_stats()
+    stats = compile_cache_stats().since(before)
     speedup = serial_secs / sharded_secs if sharded_secs else float("inf")
     benchmark.extra_info["serial_secs"] = round(serial_secs, 3)
     benchmark.extra_info["sharded_secs"] = round(sharded_secs, 3)

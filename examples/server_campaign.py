@@ -10,8 +10,7 @@ Use ``python -m repro.reporting fig7`` for the full ten-server version.
 
 import sys
 
-from repro.attacks import run_workload_campaign
-from repro.workloads import get_workload
+from repro.attacks import run_campaign
 
 
 def main() -> None:
@@ -19,11 +18,10 @@ def main() -> None:
     print(f"{attacks} independent attacks per server\n")
     print(f"{'server':10s} {'vuln':4s} {'changed':>8s} {'detected':>9s} "
           f"{'det/changed':>12s}")
-    for name in ("telnetd", "wu-ftpd", "sendmail"):
-        workload = get_workload(name)
-        result = run_workload_campaign(workload, attacks=attacks)
+    summary = run_campaign(["telnetd", "wu-ftpd", "sendmail"], attacks)
+    for result in summary.results:
         print(
-            f"{name:10s} {workload.vuln_kind:4s} "
+            f"{result.workload:10s} {result.vuln_kind:4s} "
             f"{result.pct_changed:7.1f}% {result.pct_detected:8.1f}% "
             f"{result.pct_detected_of_changed:11.1f}%"
         )

@@ -35,7 +35,7 @@ from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
 from ..pipeline import ProtectedProgram, monitored_run
 from ..runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
-from ..workloads.registry import Workload, resolve_workloads
+from ..workloads.registry import Workload
 
 #: Values an attacker plausibly writes: flag flips, sign flips, and the
 #: large garbage real overflow payloads leave behind (0x41414141 is the
@@ -250,12 +250,30 @@ class CampaignSummary:
         return 100.0 * self.avg_pct_detected / self.avg_pct_changed
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """How every attack of a campaign runs (picklable).
+
+    The fields are :func:`run_attack_detailed`'s per-attack knobs plus
+    the ``opt_level`` the workload's tables are compiled at; a campaign
+    ships one spec to every shard, so they are spelled out exactly once.
+    """
+
+    seed_prefix: str = ""
+    step_limit: int = 500_000
+    attack_model: str = "input"
+    opt_level: int = 0
+    forensics: bool = False
+    flight_recorder_depth: int = DEFAULT_DEPTH
+    timing_mode: Optional[str] = None
+
+
 @dataclass
 class AttackExecution:
     """Every artifact of one attack-recipe execution.
 
-    :func:`run_attack` keeps returning the bare :class:`AttackOutcome`;
-    session-scoped callers (the detection daemon's
+    Campaigns keep only the :class:`AttackOutcome`; session-scoped
+    callers (the detection daemon's
     :class:`~repro.service.engine.DetectionSession`) need the live
     objects too — the monitored IPDS, the flight recorder, the typed
     forensics reports — so the daemon can stream alarms and quarantine
@@ -273,10 +291,11 @@ class AttackExecution:
     reports: List[object] = field(default_factory=list)
 
 
-def run_attack(
+def run_attack_detailed(
     program: ProtectedProgram,
     workload: Workload,
     index: int,
+    *,
     seed_prefix: str = "",
     step_limit: int = 500_000,
     attack_model: str = "input",
@@ -285,8 +304,11 @@ def run_attack(
     forensics: bool = False,
     flight_recorder_depth: int = DEFAULT_DEPTH,
     timing_mode: Optional[str] = None,
-) -> AttackOutcome:
-    """Run one independent attack (clean + attack runs).
+    extra_observers: Sequence[object] = (),
+    alarm_sink=None,
+) -> AttackExecution:
+    """Run one independent attack (clean + attack runs), returning
+    every artifact (see :class:`AttackExecution`).
 
     ``attack_model`` selects the paper's §3 threat models:
 
@@ -309,43 +331,8 @@ def run_attack(
     timing model to the monitored attack run and records its cycle
     count on the outcome.  The timing model is a passive bus consumer:
     detection results are identical with it on or off.
-    """
-    return run_attack_detailed(
-        program,
-        workload,
-        index,
-        seed_prefix=seed_prefix,
-        step_limit=step_limit,
-        attack_model=attack_model,
-        rng=rng,
-        metrics=metrics,
-        forensics=forensics,
-        flight_recorder_depth=flight_recorder_depth,
-        timing_mode=timing_mode,
-    ).outcome
 
-
-def run_attack_detailed(
-    program: ProtectedProgram,
-    workload: Workload,
-    index: int,
-    *,
-    seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
-    rng: Optional[random.Random] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-    extra_observers: Sequence[object] = (),
-    alarm_sink=None,
-) -> AttackExecution:
-    """The attack recipe, returning every artifact (see
-    :class:`AttackExecution`).
-
-    :func:`run_attack` is a thin wrapper over this function; the two
-    extra knobs exist for session-scoped callers and never perturb the
+    Two knobs exist for session-scoped callers and never perturb the
     outcome:
 
     * ``extra_observers`` ride the monitored attack run's bus behind
@@ -477,139 +464,4 @@ def run_attack_detailed(
         ipds=ipds,
         flight_recorder=recorder,
         reports=reports,
-    )
-
-
-def run_workload_campaign(
-    workload: Workload,
-    attacks: int = 100,
-    seed_prefix: str = "",
-    step_limit: int = 500_000,
-    program: Optional[ProtectedProgram] = None,
-    attack_model: str = "input",
-    opt_level: int = 0,
-    jobs: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-    tracer=None,
-) -> WorkloadResult:
-    """Attack one workload ``attacks`` times independently.
-
-    ``jobs > 1`` shards the attack indices across a process pool via
-    :mod:`repro.parallel.engine`; the merged result is identical to the
-    serial one for the same ``seed_prefix``.  The sharded path ignores
-    a pre-compiled ``program`` — workers recompile through the
-    content-addressed cache instead (same program, built once per
-    process).  ``metrics`` accumulates campaign telemetry (merged back
-    across shards when sharded).
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        from ..parallel.engine import run_workload_sharded
-
-        return run_workload_sharded(
-            workload,
-            attacks,
-            seed_prefix=seed_prefix,
-            step_limit=step_limit,
-            attack_model=attack_model,
-            opt_level=opt_level,
-            jobs=jobs,
-            metrics=metrics,
-            forensics=forensics,
-            flight_recorder_depth=flight_recorder_depth,
-            timing_mode=timing_mode,
-            tracer=tracer,
-        )
-    from ..observability.tracing import maybe_span
-
-    with maybe_span(
-        tracer, "workload", workload=workload.name, attacks=attacks
-    ):
-        if program is None:
-            from ..pipeline import compile_program_cached
-
-            with maybe_span(tracer, "compile", workload=workload.name):
-                program = compile_program_cached(
-                    workload.source, workload.name, opt_level
-                )
-        if metrics is not None:
-            metrics.increment("campaign.workloads")
-            metrics.increment("campaign.jobs")
-        result = WorkloadResult(
-            workload=workload.name,
-            vuln_kind=workload.vuln_kind,
-            timing_mode=timing_mode,
-        )
-        for index in range(attacks):
-            result.attacks.append(
-                run_attack(
-                    program, workload, index,
-                    seed_prefix=seed_prefix, step_limit=step_limit,
-                    attack_model=attack_model, metrics=metrics,
-                    forensics=forensics,
-                    flight_recorder_depth=flight_recorder_depth,
-                    timing_mode=timing_mode,
-                )
-            )
-    return result
-
-
-def run_campaign(
-    workloads: Optional[Sequence[Workload]] = None,
-    attacks: int = 100,
-    *,
-    seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
-    opt_level: int = 0,
-    jobs: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-    tracer=None,
-) -> CampaignSummary:
-    """The Figure-7 experiment, optionally sharded across processes.
-
-    The canonical campaign entry point: ``jobs=1`` runs inline,
-    ``jobs=N`` fans shards out over a ``ProcessPoolExecutor`` and
-    merges outcomes back into index order.  Either way the zero-FP
-    invariant is asserted globally (any clean-run alarm raises
-    :class:`CampaignError`), and outcomes — hence rendered reports —
-    are byte-identical at any job count.  ``metrics`` accumulates
-    telemetry (per-workload spans, event/step counters); sharded runs
-    merge worker-side counters back into it at the join point.
-    """
-    from ..parallel.engine import run_campaign as _engine_run_campaign
-
-    return _engine_run_campaign(
-        workloads,
-        attacks,
-        seed_prefix=seed_prefix,
-        step_limit=step_limit,
-        attack_model=attack_model,
-        opt_level=opt_level,
-        jobs=jobs,
-        metrics=metrics,
-        forensics=forensics,
-        flight_recorder_depth=flight_recorder_depth,
-        timing_mode=timing_mode,
-        tracer=tracer,
-    )
-
-
-def run_full_campaign(
-    attacks: int = 100,
-    seed_prefix: str = "",
-    workloads: Optional[Sequence[Workload]] = None,
-    jobs: int = 1,
-) -> CampaignSummary:
-    """The whole Figure-7 experiment: every workload × N attacks."""
-    chosen = resolve_workloads(workloads)
-    return run_campaign(
-        chosen, attacks, seed_prefix=seed_prefix, jobs=jobs
     )

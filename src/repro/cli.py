@@ -61,7 +61,7 @@ import random
 import sys
 from typing import List, Optional, Sequence
 
-from .attacks.campaign import run_campaign, run_workload_campaign
+from .attacks.campaign import RunSpec
 from .correlation.encoding import table_sizes
 from .cpu.simulator import normalized_performance
 from .interp.interpreter import TamperSpec
@@ -667,6 +667,8 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from .parallel.engine import run_campaign
+
     metrics = MetricsRegistry()
     tracer = _new_tracer(args)
     manifest = RunManifest.begin(
@@ -679,44 +681,34 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed_prefix=args.seed_prefix,
         timing_mode=args.timing_mode,
     )
-    if args.workload == "all":
-        from .reporting import render_figure7
-
-        summary = run_campaign(
-            attacks=args.attacks,
+    summary = run_campaign(
+        None if args.workload == "all" else [args.workload],
+        args.attacks,
+        RunSpec(
             seed_prefix=args.seed_prefix,
             attack_model=args.model,
             opt_level=args.opt,
-            jobs=args.jobs,
-            metrics=metrics,
             forensics=args.forensics,
             flight_recorder_depth=args.flight_recorder_depth,
             timing_mode=args.timing_mode,
-            tracer=tracer,
-        )
+        ),
+        jobs=args.jobs,
+        metrics=metrics,
+        tracer=tracer,
+    )
+    results = summary.results
+    if args.workload == "all":
+        from .reporting import render_figure7
+
         print(render_figure7(summary))
-        results = summary.results
         outcome_summary: dict = {
             "workloads": len(summary.results),
             "avg_pct_changed": summary.avg_pct_changed,
             "avg_pct_detected": summary.avg_pct_detected,
         }
     else:
-        workload = get_workload(args.workload)
-        result = run_workload_campaign(
-            workload,
-            attacks=args.attacks,
-            seed_prefix=args.seed_prefix,
-            attack_model=args.model,
-            opt_level=args.opt,
-            jobs=args.jobs,
-            metrics=metrics,
-            forensics=args.forensics,
-            flight_recorder_depth=args.flight_recorder_depth,
-            timing_mode=args.timing_mode,
-            tracer=tracer,
-        )
-        print(f"workload {workload.name} ({workload.vuln_kind}), "
+        result = summary.results[0]
+        print(f"workload {result.workload} ({result.vuln_kind}), "
               f"{result.total} attacks:")
         print(f"  control flow changed: {result.changed} "
               f"({result.pct_changed:.1f}%)")
@@ -730,7 +722,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 print(f"  avg attack cycles   : "
                       f"{sum(cycles) / len(cycles):.0f} "
                       f"({result.timing_mode} timing)")
-        results = [result]
         outcome_summary = {
             "total": result.total,
             "changed": result.changed,

@@ -2,11 +2,11 @@
 
 Public surface:
 
-* :func:`run_campaign` / :func:`run_workload_sharded` /
-  :func:`run_clean_sweep` — deterministic sharded campaigns (same
-  merged outcomes at any ``jobs``);
+* :func:`run_campaign` — the campaign entry point (same merged
+  outcomes at any ``jobs``), and :func:`run_clean_sweep`, the zero-FP
+  clean-run sweep on the same task runner;
 * :func:`cached_compile` and friends — the content-addressed compile
-  cache both the serial and sharded paths go through.
+  cache every campaign shard compiles through.
 """
 
 from .cache import (
@@ -26,7 +26,6 @@ from .engine import (
     merge_outcomes,
     run_campaign,
     run_clean_sweep,
-    run_workload_sharded,
     shard_indices,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "reset_compile_cache",
     "run_campaign",
     "run_clean_sweep",
-    "run_workload_sharded",
     "shard_indices",
 ]

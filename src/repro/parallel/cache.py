@@ -5,7 +5,7 @@ over and over; parsing, lowering and table building dominate their
 startup cost.  This module memoizes the whole ``parse -> lower ->
 verify -> optimize -> build tables`` pipeline behind a content address:
 
-    key = sha256(schema version, source name, opt_level, source text)
+    key = sha256(compiler code digest, source name, opt_level, source text)
 
 Two layers:
 
@@ -23,8 +23,9 @@ Two layers:
   directory.  Because the key covers the full source text and the
   compiler options, invalidation is automatic: editing a source or
   changing ``opt_level`` produces a new key, and stale entries are
-  simply never read again.  Bump :data:`CACHE_SCHEMA` when the compiled
-  representation itself changes shape.
+  simply never read again.  The same holds for the compiler itself:
+  the key folds in :func:`code_digest`, so editing any module of the
+  ``repro`` package retires every entry built by the old code.
 
 The disk layer loads pickles, so only point ``REPRO_COMPILE_CACHE`` at
 a directory you trust (the same caveat as any pickle-based cache).
@@ -32,6 +33,7 @@ a directory you trust (the same caveat as any pickle-based cache).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -43,10 +45,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..pipeline import ProtectedProgram
-
-#: Version salt for the cache key; bump when ``ProtectedProgram``'s
-#: pickled shape or the compilation pipeline changes incompatibly.
-CACHE_SCHEMA = 4
 
 #: Environment variable naming the disk cache directory.  Unset (or set
 #: to ``""``, ``"0"`` or ``"off"``) leaves only the in-memory layer on.
@@ -107,12 +105,30 @@ _lock = threading.Lock()
 _inflight: Dict[str, threading.Event] = {}
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """sha256 over every ``.py`` file of the ``repro`` package.
+
+    Computed once per process.  Any change to the compiler, the
+    analyses or the pickled shape of :class:`ProtectedProgram` changes
+    this digest, and with it every cache key.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        code = path.read_bytes()
+        relative = path.relative_to(root).as_posix()
+        digest.update(f"{relative}\n{len(code)}\n".encode("utf-8"))
+        digest.update(code)
+    return digest.hexdigest()
+
+
 def compile_fingerprint(
     source: str, name: str = "<source>", opt_level: int = 0
 ) -> str:
     """The content address of one compilation request."""
     digest = hashlib.sha256()
-    digest.update(f"repro-compile:v{CACHE_SCHEMA}\n".encode("utf-8"))
+    digest.update(f"repro-compile:{code_digest()}\n".encode("utf-8"))
     digest.update(f"{name}\n{opt_level}\n".encode("utf-8"))
     digest.update(source.encode("utf-8"))
     return digest.hexdigest()

@@ -1,46 +1,60 @@
-"""Sharded campaign execution over a process pool.
+"""The campaign engine: one entry point, one attack loop.
 
 The Figure-7 methodology runs ``attacks`` independent attacks per
 workload; every attack already derives its RNG from a pure function of
 ``(seed_prefix, workload name, attack index)`` (see
 :func:`repro.attacks.campaign.attack_rng`), so attacks can execute in
 any order, on any process, and still reproduce the serial campaign
-bit-for-bit.  This engine exploits that: it slices each workload's
-index range into contiguous shards, runs shards on a
-:class:`~concurrent.futures.ProcessPoolExecutor`, and merges outcomes
-back into index order.  ``jobs=1`` short-circuits to a plain serial
-loop, and the merged result is identical at any job count.
+bit-for-bit.  This engine exploits that: :func:`run_campaign` slices
+each workload's index range into contiguous shards, runs every shard
+through :func:`_run_shard` — inline at ``jobs=1``, on a
+:class:`~concurrent.futures.ProcessPoolExecutor` otherwise — and merges
+outcomes back into index order.  The merged result is identical at any
+job count because both schedules run the same tasks through the same
+loop.
 
-Workers receive only primitives (workload *names* plus scalar knobs) —
-each worker resolves the workload from the registry and compiles it
-through the content-addressed compile cache, so a workload's
+Tasks carry only primitives (a workload *name*, attack indices and a
+frozen :class:`~repro.attacks.campaign.RunSpec`) — each shard resolves
+the workload from the registry and compiles it through the
+content-addressed compile cache, so a workload's
 :class:`ProtectedProgram` is built at most once per process regardless
 of how many shards land there.
 
 Zero false positives stays a *global* assertion: any clean-run alarm
 raises :class:`~repro.attacks.campaign.CampaignError` inside the
-worker, which propagates out of :func:`run_campaign` after cancelling
+shard, which propagates out of :func:`run_campaign` after cancelling
 the remaining shards.
 """
 
 from __future__ import annotations
 
-import random
-from concurrent.futures import Future, ProcessPoolExecutor
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..attacks.campaign import (
     AttackOutcome,
     CampaignError,
     CampaignSummary,
+    RunSpec,
     WorkloadResult,
-    run_attack,
+    attack_rng,
+    run_attack_detailed,
 )
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import TraceContext, Tracer, maybe_span
 from ..pipeline import monitored_run
-from ..runtime.flight_recorder import DEFAULT_DEPTH
 from ..workloads.registry import Workload, get_workload, resolve_workloads
 from .cache import cached_compile
 
@@ -51,21 +65,15 @@ MAX_JOBS = 64
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One worker's slice of a workload campaign (picklable)."""
+    """One shard's slice of a workload campaign (picklable)."""
 
     workload: str
     indices: Tuple[int, ...]
-    seed_prefix: str
-    step_limit: int
-    attack_model: str
-    opt_level: int
+    spec: RunSpec
     collect_metrics: bool = False
-    forensics: bool = False
-    flight_recorder_depth: int = DEFAULT_DEPTH
-    timing_mode: Optional[str] = None
-    #: Trace linkage for the worker's spans (two short strings — the
+    #: Trace linkage for the shard's spans (two short strings — the
     #: only tracing state that crosses the pickle boundary).  None means
-    #: tracing is off and the worker records no spans.
+    #: tracing is off and the shard records no spans.
     trace_context: Optional[TraceContext] = None
 
 
@@ -125,23 +133,52 @@ def _normalize_jobs(jobs: int) -> int:
     return min(jobs, MAX_JOBS)
 
 
-def _workload_name(workload: Union[Workload, str]) -> str:
-    name = workload if isinstance(workload, str) else workload.name
-    # Shards resolve workloads by name inside the worker; fail fast in
-    # the parent if the name is not registered (ad-hoc Workload objects
-    # outside the registry only support the serial path).
-    get_workload(name)
-    return name
+_Task = TypeVar("_Task")
+_Result = TypeVar("_Result")
+
+
+def _run_tasks(
+    run: Callable[[_Task], _Result],
+    tasks: Sequence[_Task],
+    jobs: int,
+    workloads: Sequence[Workload],
+    opt_level: int,
+) -> List[_Result]:
+    """Run ``run`` over ``tasks``, returning results in task order.
+
+    One task (or ``jobs=1``) runs inline; otherwise the tasks fan out
+    over a process pool, after the parent warms its compile cache with
+    ``workloads`` so fork-based workers inherit the compiled programs
+    (spawn-based workers compile through their own cache once).
+    """
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
+        return [run(task) for task in tasks]
+    for workload in workloads:
+        cached_compile(workload.source, workload.name, opt_level)
+    with ProcessPoolExecutor(max_workers=jobs) as executor:
+        try:
+            futures = [executor.submit(run, task) for task in tasks]
+            return [future.result() for future in futures]
+        except BaseException:
+            # Ctrl-C (KeyboardInterrupt) and shard failures alike:
+            # cancel queued tasks and return immediately rather than
+            # draining the pool; the CLI maps the interrupt to exit 130.
+            executor.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point: one shard of one workload's campaign."""
+    """One shard of one workload's campaign — the only attack loop."""
     workload = get_workload(task.workload)
+    spec = task.spec
     tracer = (
         Tracer(context=task.trace_context)
         if task.trace_context is not None
         else None
     )
+    registry = MetricsRegistry() if task.collect_metrics else None
+    started = time.perf_counter()
     with maybe_span(
         tracer,
         "shard",
@@ -151,39 +188,42 @@ def _run_shard(task: ShardTask) -> ShardResult:
     ):
         with maybe_span(tracer, "shard.compile", workload=task.workload):
             program = cached_compile(
-                workload.source, workload.name, task.opt_level
+                workload.source, workload.name, spec.opt_level
             )
-        registry = MetricsRegistry() if task.collect_metrics else None
         outcomes = [
-            run_attack(
+            run_attack_detailed(
                 program,
                 workload,
                 index,
-                seed_prefix=task.seed_prefix,
-                step_limit=task.step_limit,
-                attack_model=task.attack_model,
+                seed_prefix=spec.seed_prefix,
+                step_limit=spec.step_limit,
+                attack_model=spec.attack_model,
                 metrics=registry,
-                forensics=task.forensics,
-                flight_recorder_depth=task.flight_recorder_depth,
-                timing_mode=task.timing_mode,
-            )
+                forensics=spec.forensics,
+                flight_recorder_depth=spec.flight_recorder_depth,
+                timing_mode=spec.timing_mode,
+            ).outcome
             for index in task.indices
         ]
+    if registry is not None:
+        registry.observe_seconds(
+            f"workload.{task.workload}", time.perf_counter() - started
+        )
     return ShardResult(
         outcomes=outcomes,
         metrics=registry.snapshot() if registry is not None else None,
-        timing_mode=task.timing_mode,
+        timing_mode=spec.timing_mode,
         spans=tracer.span_dicts() if tracer is not None else [],
     )
 
 
 def _run_clean_shard(task: CleanTask) -> List[str]:
-    """Worker entry point: monitored clean sessions; returns alarms."""
+    """Monitored clean sessions of one workload; returns the alarms."""
     workload = get_workload(task.workload)
     program = cached_compile(workload.source, workload.name, task.opt_level)
     alarms: List[str] = []
     for session in task.sessions:
-        rng = random.Random(f"{task.seed_prefix}{workload.name}:{session}")
+        rng = attack_rng(task.seed_prefix, workload.name, session)
         inputs = workload.make_inputs(rng)
         _, ipds = monitored_run(
             program, inputs=inputs, step_limit=task.step_limit
@@ -246,105 +286,32 @@ def merge_shard_results(
     return result
 
 
-def _serial_workload(
-    workload: Workload,
-    attacks: int,
-    seed_prefix: str,
-    step_limit: int,
-    attack_model: str,
-    opt_level: int,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-) -> WorkloadResult:
-    program = cached_compile(workload.source, workload.name, opt_level)
-    result = WorkloadResult(
-        workload=workload.name,
-        vuln_kind=workload.vuln_kind,
-        timing_mode=timing_mode,
-    )
-    for index in range(attacks):
-        result.attacks.append(
-            run_attack(
-                program,
-                workload,
-                index,
-                seed_prefix=seed_prefix,
-                step_limit=step_limit,
-                attack_model=attack_model,
-                metrics=metrics,
-                forensics=forensics,
-                flight_recorder_depth=flight_recorder_depth,
-                timing_mode=timing_mode,
-            )
-        )
-    return result
-
-
-def run_workload_sharded(
-    workload: Union[Workload, str],
-    attacks: int = 100,
-    *,
-    seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
-    opt_level: int = 0,
-    jobs: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-    tracer: Optional[Tracer] = None,
-) -> WorkloadResult:
-    """One workload's campaign, sharded across ``jobs`` processes."""
-    summary = run_campaign(
-        workloads=[_workload_name(workload)],
-        attacks=attacks,
-        seed_prefix=seed_prefix,
-        step_limit=step_limit,
-        attack_model=attack_model,
-        opt_level=opt_level,
-        jobs=jobs,
-        metrics=metrics,
-        forensics=forensics,
-        flight_recorder_depth=flight_recorder_depth,
-        timing_mode=timing_mode,
-        tracer=tracer,
-    )
-    return summary.results[0]
-
-
 def run_campaign(
     workloads: Optional[Sequence[Union[Workload, str]]] = None,
     attacks: int = 100,
+    spec: RunSpec = RunSpec(),
     *,
-    seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
-    opt_level: int = 0,
     jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
     tracer: Optional[Tracer] = None,
 ) -> CampaignSummary:
-    """The full campaign, sharded across a process pool.
+    """The Figure-7 experiment: ``attacks`` attacks per workload.
 
-    Identical merged outcomes (and therefore byte-identical reports) at
-    any ``jobs`` value; ``jobs=1`` runs inline without a pool.
+    ``workloads`` are registered workloads (instances or names; None
+    means the whole registry), resolved in the parent so an unknown
+    name fails before any attack runs.  Every attack runs as ``spec``
+    says.  Merged outcomes — and therefore rendered reports — are
+    identical at any ``jobs`` value.
 
-    ``metrics`` accumulates telemetry: per-workload wall-clock spans
-    plus the counters every attack records.  On the sharded path the
-    workers collect counters locally and return picklable snapshots
-    that are folded back into the parent registry at the merge point,
-    so the numbers are job-count-independent (spans, being wall-clock,
-    are not — they measure the actual schedule).
+    ``metrics`` accumulates telemetry: the counters every attack
+    records plus per-workload wall-clock timers.  Each shard collects
+    into its own registry and returns a picklable snapshot that is
+    folded in here, so the counters are job-count-independent except
+    ``campaign.jobs`` and ``campaign.shards``, which describe the
+    schedule.
 
-    ``tracer`` (optional) records a hierarchical span tree: one
-    ``campaign`` root, per-workload child spans, and — on the sharded
-    path — per-shard worker spans linked back under the root via the
+    ``tracer`` (optional) records one ``campaign`` root span with every
+    shard's ``shard`` / ``shard.compile`` spans linked under it via the
     :class:`TraceContext` shipped in each :class:`ShardTask`.
     """
     jobs = _normalize_jobs(jobs)
@@ -358,102 +325,39 @@ def run_campaign(
         workloads=len(chosen),
         attacks=attacks,
         jobs=jobs,
-        attack_model=attack_model,
-        opt_level=opt_level,
+        attack_model=spec.attack_model,
+        opt_level=spec.opt_level,
     ):
-        if jobs == 1 or attacks <= 0 or not chosen:
-            results = []
-            for workload in chosen:
-                with maybe_span(
-                    tracer, "workload",
-                    workload=workload.name, attacks=attacks,
-                ):
-                    if metrics is not None:
-                        with metrics.span(f"workload.{workload.name}"):
-                            results.append(
-                                _serial_workload(
-                                    workload, attacks, seed_prefix,
-                                    step_limit, attack_model, opt_level,
-                                    metrics, forensics,
-                                    flight_recorder_depth, timing_mode,
-                                )
-                            )
-                    else:
-                        results.append(
-                            _serial_workload(
-                                workload, attacks, seed_prefix, step_limit,
-                                attack_model, opt_level,
-                                forensics=forensics,
-                                flight_recorder_depth=flight_recorder_depth,
-                                timing_mode=timing_mode,
-                            )
-                        )
-            return CampaignSummary(results)
-
-        # Warm the in-process cache before forking so fork-based workers
-        # inherit compiled programs for free; spawn-based workers fall
-        # back to compiling (through their own cache) once per process.
-        for workload in chosen:
-            cached_compile(workload.source, workload.name, opt_level)
-
-        collect_metrics = metrics is not None
         trace_context = (
             tracer.current_context() if tracer is not None else None
         )
-        futures: Dict[str, List[Future]] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            try:
-                for workload in chosen:
-                    futures[workload.name] = [
-                        executor.submit(
-                            _run_shard,
-                            ShardTask(
-                                workload=workload.name,
-                                indices=block,
-                                seed_prefix=seed_prefix,
-                                step_limit=step_limit,
-                                attack_model=attack_model,
-                                opt_level=opt_level,
-                                collect_metrics=collect_metrics,
-                                forensics=forensics,
-                                flight_recorder_depth=flight_recorder_depth,
-                                timing_mode=timing_mode,
-                                trace_context=trace_context,
-                            ),
-                        )
-                        for block in shard_indices(attacks, jobs)
-                    ]
-                results = []
-                for workload in chosen:
-                    shard_results = [
-                        future.result() for future in futures[workload.name]
-                    ]
-                    if metrics is not None:
-                        with metrics.span(f"workload.{workload.name}.merge"):
-                            merged = merge_shard_results(
-                                workload, attacks, shard_results
-                            )
-                        metrics.increment(
-                            "campaign.shards", len(shard_results)
-                        )
-                        for shard in shard_results:
-                            metrics.merge_snapshot(shard.metrics)
-                    else:
-                        merged = merge_shard_results(
-                            workload, attacks, shard_results
-                        )
-                    if tracer is not None:
-                        for shard in shard_results:
-                            tracer.adopt(shard.spans)
-                    results.append(merged)
-            except BaseException:
-                # Ctrl-C (KeyboardInterrupt) and shard failures alike:
-                # cancel queued shards and return immediately rather
-                # than draining the pool; the CLI maps the interrupt to
-                # exit 130.
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-        return CampaignSummary(results)
+        blocks = shard_indices(attacks, jobs)
+        tasks = [
+            ShardTask(
+                workload=workload.name,
+                indices=block,
+                spec=spec,
+                collect_metrics=metrics is not None,
+                trace_context=trace_context,
+            )
+            for workload in chosen
+            for block in blocks
+        ]
+        shard_results = iter(
+            _run_tasks(_run_shard, tasks, jobs, chosen, spec.opt_level)
+        )
+        results = []
+        for workload in chosen:
+            shards = [next(shard_results) for _ in blocks]
+            results.append(merge_shard_results(workload, attacks, shards))
+            for shard in shards:
+                if metrics is not None:
+                    metrics.merge_snapshot(shard.metrics)
+                if tracer is not None:
+                    tracer.adopt(shard.spans)
+            if metrics is not None:
+                metrics.increment("campaign.shards", len(shards))
+    return CampaignSummary(results)
 
 
 def run_clean_sweep(
@@ -483,23 +387,13 @@ def run_clean_sweep(
         for workload in chosen
         for block in shard_indices(sessions, jobs)
     ]
-    alarms: List[str] = []
-    if jobs == 1:
-        for task in tasks:
-            alarms.extend(_run_clean_shard(task))
-    else:
-        for workload in chosen:
-            cached_compile(workload.source, workload.name, opt_level)
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            try:
-                pending = [
-                    executor.submit(_run_clean_shard, task) for task in tasks
-                ]
-                for future in pending:
-                    alarms.extend(future.result())
-            except BaseException:
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
+    alarms = [
+        alarm
+        for shard_alarms in _run_tasks(
+            _run_clean_shard, tasks, jobs, chosen, opt_level
+        )
+        for alarm in shard_alarms
+    ]
     if alarms:
         raise CampaignError(
             f"{len(alarms)} false positive(s) on clean runs: "

@@ -14,11 +14,12 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .attacks.campaign import CampaignSummary, run_campaign
+from .attacks.campaign import CampaignSummary
 from .correlation.encoding import SizeSummary, summarize_sizes
 from .cpu.params import IPDSHardwareParams, ProcessorParams
 from .cpu.simulator import PerformanceComparison, normalized_performance
 from .observability import MetricsRegistry, RunManifest, write_manifest
+from .parallel.engine import run_campaign
 from .pipeline import compile_program_cached
 from .workloads.registry import Workload, all_workloads
 
@@ -31,30 +32,6 @@ def _bar(value: float, scale: float = 1.0, width: int = 40) -> str:
 # ----------------------------------------------------------------------
 # Figure 7: detection rate for simulated attacks
 # ----------------------------------------------------------------------
-
-
-def figure7_data(
-    attacks: int = 100,
-    workloads: Optional[Sequence[Workload]] = None,
-    jobs: int = 1,
-    seed_prefix: str = "",
-    metrics: Optional[MetricsRegistry] = None,
-) -> CampaignSummary:
-    """Run the Figure 7 campaign (100 independent attacks/server).
-
-    ``jobs`` shards the campaign across processes.  Because attacks are
-    seeded purely by ``(seed_prefix, workload, index)`` and shard
-    outcomes are merged back into index order, the summary — and hence
-    :func:`render_figure7`'s text — is byte-identical at any ``jobs``.
-    ``metrics`` collects campaign telemetry without affecting the data.
-    """
-    return run_campaign(
-        workloads,
-        attacks=attacks,
-        seed_prefix=seed_prefix,
-        jobs=jobs,
-        metrics=metrics,
-    )
 
 
 def render_figure7(summary: CampaignSummary) -> str:
@@ -328,15 +305,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for artifact in wants:
         with registry.span(f"artifact.{artifact}"):
             if artifact == "fig7":
-                blocks.append(
-                    render_figure7(
-                        figure7_data(
-                            attacks=args.attacks,
-                            jobs=args.jobs,
-                            metrics=registry,
-                        )
-                    )
+                # Seeded per (workload, index) and merged in index
+                # order, so the figure is byte-identical at any --jobs.
+                summary = run_campaign(
+                    attacks=args.attacks, jobs=args.jobs, metrics=registry
                 )
+                blocks.append(render_figure7(summary))
             elif artifact == "fig8":
                 blocks.append(render_figure8(*figure8_data()))
             elif artifact == "table1":

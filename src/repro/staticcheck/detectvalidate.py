@@ -31,10 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.alias import analyze_aliases
 from ..analysis.purity import analyze_purity
-from ..attacks.campaign import AttackOutcome, WorkloadResult, run_workload_campaign
+from ..attacks.campaign import AttackOutcome, RunSpec, WorkloadResult
 from ..forensics.observatory import primary_reason
 from ..interp.state import STACK_BASE, MemoryMap
 from ..ir.instructions import Variable
+from ..parallel.engine import run_campaign
 from ..pipeline import ProtectedProgram
 from ..workloads.registry import Workload, get_workload, workload_names
 from .detectability import (
@@ -333,15 +334,13 @@ def validate_workload(
         workload.source, workload.name, opt_level
     )
     if result is None:
-        result = run_workload_campaign(
-            workload,
-            attacks=attacks,
+        spec = RunSpec(
             seed_prefix=seed_prefix,
             step_limit=step_limit,
             opt_level=opt_level,
-            jobs=jobs,
             forensics=forensics,
         )
+        result = run_campaign([workload], attacks, spec, jobs=jobs).results[0]
     return WorkloadSoundness(
         workload=workload.name,
         opt_level=opt_level,

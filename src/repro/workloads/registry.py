@@ -98,16 +98,17 @@ def workload_names() -> List[str]:
 def resolve_workloads(
     specs: Optional[Sequence[Union[Workload, str]]] = None,
 ) -> List[Workload]:
-    """Normalize a mixed name/instance list to :class:`Workload` objects.
+    """Normalize a mixed name/instance list to registered workloads.
 
-    ``None`` means every registered workload, in the paper's order —
-    the shape every campaign entry point (serial CLI, sharded engine,
-    reporting) funnels through.
+    ``None`` means every registered workload, in the paper's order.
+    Instances resolve by name, so an unregistered workload raises
+    :class:`KeyError` here — campaign shards look workloads up by name,
+    and the campaign engine resolves in the parent to fail fast.
     """
     if specs is None:
         return all_workloads()
     return [
-        spec if isinstance(spec, Workload) else get_workload(spec)
+        get_workload(spec if isinstance(spec, str) else spec.name)
         for spec in specs
     ]
 

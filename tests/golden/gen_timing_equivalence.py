@@ -26,7 +26,7 @@ import json
 import random
 from pathlib import Path
 
-from repro.attacks.campaign import run_attack
+from repro.attacks.campaign import run_attack_detailed
 from repro.cpu.simulator import normalized_performance
 from repro.pipeline import compile_program
 from repro.workloads import all_workloads
@@ -65,9 +65,9 @@ def collect() -> dict:
             )
             outcomes = []
             for index in range(ATTACKS):
-                outcome = run_attack(
+                outcome = run_attack_detailed(
                     program, workload, index, seed_prefix=SEED_PREFIX
-                )
+                ).outcome
                 outcomes.append(
                     {
                         "index": outcome.index,

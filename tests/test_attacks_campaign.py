@@ -6,8 +6,8 @@ from repro.attacks import (
     AttackOutcome,
     CampaignSummary,
     WorkloadResult,
-    run_attack,
-    run_workload_campaign,
+    run_attack_detailed,
+    run_campaign,
 )
 from repro.pipeline import compile_program
 from repro.workloads import get_workload
@@ -21,7 +21,7 @@ def telnetd():
 
 def test_attack_outcome_fields(telnetd):
     workload, program = telnetd
-    outcome = run_attack(program, workload, index=0)
+    outcome = run_attack_detailed(program, workload, 0).outcome
     assert outcome.fired
     assert outcome.trigger_read >= workload.min_trigger_read
     assert "." in outcome.target_label
@@ -29,14 +29,16 @@ def test_attack_outcome_fields(telnetd):
 
 def test_attacks_are_deterministic(telnetd):
     workload, program = telnetd
-    a = run_attack(program, workload, index=3)
-    b = run_attack(program, workload, index=3)
+    a = run_attack_detailed(program, workload, 3).outcome
+    b = run_attack_detailed(program, workload, 3).outcome
     assert a == b
 
 
 def test_different_indices_differ(telnetd):
     workload, program = telnetd
-    outcomes = [run_attack(program, workload, index=i) for i in range(12)]
+    outcomes = [
+        run_attack_detailed(program, workload, i).outcome for i in range(12)
+    ]
     # Different attacks pick different targets/values at least sometimes.
     assert len({(o.address, o.value) for o in outcomes}) > 1
 
@@ -44,14 +46,14 @@ def test_different_indices_differ(telnetd):
 def test_detection_implies_change(telnetd):
     workload, program = telnetd
     for i in range(40):
-        outcome = run_attack(program, workload, index=i)
+        outcome = run_attack_detailed(program, workload, i).outcome
         if outcome.detected:
             assert outcome.control_flow_changed, outcome
 
 
 def test_workload_result_rates(telnetd):
-    workload, program = telnetd
-    result = run_workload_campaign(workload, attacks=25, program=program)
+    workload, _ = telnetd
+    result = run_campaign([workload], 25).results[0]
     assert result.total == 25
     assert 0 <= result.detected <= result.changed <= result.total
     if result.changed:
@@ -89,7 +91,9 @@ def test_campaign_summary_averages():
 def test_fmt_workload_can_target_globals():
     workload = get_workload("sysklogd")
     program = compile_program(workload.source, workload.name)
-    outcomes = [run_attack(program, workload, index=i) for i in range(30)]
+    outcomes = [
+        run_attack_detailed(program, workload, i).outcome for i in range(30)
+    ]
     # At least one attack should have landed on a global (the fmt
     # surface includes them).
     assert any(o.target_label.startswith("<global>") for o in outcomes)

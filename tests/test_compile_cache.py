@@ -91,6 +91,24 @@ def test_disk_layer_roundtrip(tmp_path, monkeypatch):
     assert reloaded.to_image() == original.to_image()
 
 
+def test_disk_entry_is_missed_once_the_code_digest_differs(
+    tmp_path, monkeypatch
+):
+    """Editing the compiler retires every disk entry it built."""
+    monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
+    cached_compile(SOURCE, "a.c")
+    old_key = compile_fingerprint(SOURCE, "a.c", 0)
+    assert (tmp_path / f"{old_key}.pkl").is_file()
+
+    monkeypatch.setattr(cache_mod, "code_digest", lambda: "edited")
+    assert compile_fingerprint(SOURCE, "a.c", 0) != old_key
+    reset_compile_cache()
+    cached_compile(SOURCE, "a.c")
+    stats = compile_cache_stats()
+    assert stats.disk_hits == 0
+    assert stats.misses == 1
+
+
 def test_disk_layer_survives_corrupt_entry(tmp_path, monkeypatch):
     monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
     key = compile_fingerprint(SOURCE, "a.c", 0)

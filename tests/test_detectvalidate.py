@@ -7,7 +7,8 @@ accounting, and an end-to-end seeded smoke on a registry workload.
 
 import pytest
 
-from repro.attacks.campaign import AttackOutcome, run_workload_campaign
+from repro.attacks.campaign import AttackOutcome
+from repro.parallel.engine import run_campaign
 from repro.interp.state import STACK_BASE, MemoryMap
 from repro.interp.interpreter import RunStatus
 from repro.pipeline import compile_program
@@ -199,7 +200,7 @@ def test_seeded_workload_smoke_is_sound():
 
 def test_campaign_reuse_skips_rerun():
     workload = get_workload("wu-ftpd")
-    campaign = run_workload_campaign(workload, attacks=6)
+    campaign = run_campaign([workload], 6).results[0]
     reused = validate_workload(workload, opt_level=0, result=campaign)
     fresh = validate_workload(workload, opt_level=0, attacks=6)
     assert [j.to_dict() for j in reused.joins] == [

@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from repro.attacks import attack_rng, run_attack, run_workload_campaign
+from repro.attacks import RunSpec, attack_rng, run_attack_detailed, run_campaign
 from repro.correlation.binary_image import load_program
 from repro.forensics import explain_alarms
 from repro.interp.interpreter import TamperSpec
@@ -27,7 +27,7 @@ DEPTH = 512
 def _detected_attacks(program, workload):
     found = 0
     for index in range(MAX_SCAN):
-        outcome = run_attack(program, workload, index)
+        outcome = run_attack_detailed(program, workload, index).outcome
         if outcome.detected and outcome.fired:
             yield index, outcome
             found += 1
@@ -104,14 +104,8 @@ def test_forensics_does_not_perturb_campaigns(name):
     fields (explanations, proof_reasons), which are empty when off — so
     forensics-off reports are byte-identical to a build without the
     feature."""
-    workload = get_workload(name)
-    program = compile_program_cached(workload.source, name, 0)
-    base = run_workload_campaign(
-        workload, attacks=10, program=program, forensics=False
-    )
-    traced = run_workload_campaign(
-        workload, attacks=10, program=program, forensics=True
-    )
+    base = run_campaign([name], 10, RunSpec(forensics=False)).results[0]
+    traced = run_campaign([name], 10, RunSpec(forensics=True)).results[0]
     for off, on in zip(base.attacks, traced.attacks):
         assert off.explanations == ()
         assert off.proof_reasons == ()
@@ -124,15 +118,8 @@ def test_forensics_does_not_perturb_campaigns(name):
 
 
 def test_campaign_forensics_chains_name_the_correlation():
-    workload = get_workload("telnetd")
-    program = compile_program_cached(workload.source, "telnetd", 0)
-    result = run_workload_campaign(
-        workload,
-        attacks=12,
-        program=program,
-        forensics=True,
-        flight_recorder_depth=DEPTH,
-    )
+    spec = RunSpec(forensics=True, flight_recorder_depth=DEPTH)
+    result = run_campaign(["telnetd"], 12, spec).results[0]
     chains = [c for o in result.attacks for c in o.explanations]
     assert chains
     assert any("because" in chain for chain in chains)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.analysis.alias import analyze_aliases
 from repro.analysis.defs import DefinitionMap
 from repro.analysis.purity import analyze_purity
-from repro.attacks import attack_rng, run_attack
+from repro.attacks import attack_rng, run_attack_detailed
 from repro.correlation.actions import BranchAction
 from repro.forensics import explain_alarms
 from repro.interp.interpreter import TamperSpec
@@ -37,7 +37,7 @@ def _detected_pairs(name):
         program = compile_program_cached(workload.source, name, 0)
         pairs = []
         for index in range(MAX_SCAN):
-            outcome = run_attack(program, workload, index)
+            outcome = run_attack_detailed(program, workload, index).outcome
             if outcome.detected and outcome.fired:
                 pairs.append((index, outcome))
                 if len(pairs) >= 2:

@@ -154,13 +154,11 @@ def test_campaign_forensics_records_feed_the_observatory():
     """End to end: a live forensics campaign's outcome records carry
     proof_reasons and attribute cleanly (no unexplained bucket when
     forensics explains every alarm)."""
-    from repro.attacks.campaign import run_workload_campaign
+    from repro.attacks.campaign import RunSpec
     from repro.forensics import observe_outcomes
-    from repro.workloads.registry import get_workload
+    from repro.parallel.engine import run_campaign
 
-    result = run_workload_campaign(
-        get_workload("telnetd"), attacks=10, forensics=True
-    )
+    result = run_campaign(["telnetd"], 10, RunSpec(forensics=True)).results[0]
     observation = observe_outcomes([result])
     assert observation.attacks == 10
     assert observation.detected == sum(

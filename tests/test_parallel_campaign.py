@@ -12,21 +12,24 @@ from hypothesis import strategies as st
 from repro.attacks import (
     AttackOutcome,
     CampaignError,
+    RunSpec,
+    run_attack_detailed,
     run_campaign,
-    run_workload_campaign,
 )
 from repro.parallel import merge_outcomes, shard_indices
+from repro.pipeline import compile_program_cached
 from repro.reporting import render_figure7
 from repro.workloads import get_workload
 
 WORKLOADS = ["telnetd", "httpd"]
 ATTACKS = 6
 SEED = "ptest:"
+SPEC = RunSpec(seed_prefix=SEED)
 
 
 @pytest.fixture(scope="module")
 def serial_summary():
-    return run_campaign(WORKLOADS, attacks=ATTACKS, seed_prefix=SEED, jobs=1)
+    return run_campaign(WORKLOADS, ATTACKS, SPEC, jobs=1)
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +62,7 @@ def test_shard_indices_deterministic():
 
 
 def test_jobs4_equals_jobs1(serial_summary):
-    sharded = run_campaign(WORKLOADS, attacks=ATTACKS, seed_prefix=SEED, jobs=4)
+    sharded = run_campaign(WORKLOADS, ATTACKS, SPEC, jobs=4)
     assert [r.workload for r in sharded.results] == WORKLOADS
     for left, right in zip(serial_summary.results, sharded.results):
         assert left.workload == right.workload
@@ -68,28 +71,31 @@ def test_jobs4_equals_jobs1(serial_summary):
 
 
 def test_reports_are_byte_identical(serial_summary):
-    sharded = run_campaign(WORKLOADS, attacks=ATTACKS, seed_prefix=SEED, jobs=3)
+    sharded = run_campaign(WORKLOADS, ATTACKS, SPEC, jobs=3)
     assert render_figure7(serial_summary) == render_figure7(sharded)
 
 
-def test_run_workload_campaign_jobs_delegates(serial_summary):
-    workload = get_workload("telnetd")
-    sharded = run_workload_campaign(
-        workload, attacks=ATTACKS, seed_prefix=SEED, jobs=2
-    )
-    assert sharded.attacks == serial_summary.results[0].attacks
+def test_single_workload_sharded_matches_serial(serial_summary):
+    sharded = run_campaign(["telnetd"], ATTACKS, SPEC, jobs=2)
+    assert sharded.results[0].attacks == serial_summary.results[0].attacks
 
 
 def test_engine_serial_matches_legacy_loop(serial_summary):
     """The engine's jobs=1 path is the classic per-index loop."""
     workload = get_workload("telnetd")
-    legacy = run_workload_campaign(workload, attacks=ATTACKS, seed_prefix=SEED)
-    assert legacy.attacks == serial_summary.results[0].attacks
+    program = compile_program_cached(workload.source, workload.name, 0)
+    legacy = [
+        run_attack_detailed(
+            program, workload, index, seed_prefix=SEED
+        ).outcome
+        for index in range(ATTACKS)
+    ]
+    assert legacy == serial_summary.results[0].attacks
 
 
 def test_seed_prefix_changes_outcomes():
-    base = run_campaign(["telnetd"], attacks=4, seed_prefix="a:", jobs=1)
-    other = run_campaign(["telnetd"], attacks=4, seed_prefix="b:", jobs=1)
+    base = run_campaign(["telnetd"], 4, RunSpec(seed_prefix="a:"), jobs=1)
+    other = run_campaign(["telnetd"], 4, RunSpec(seed_prefix="b:"), jobs=1)
     assert base.results[0].attacks != other.results[0].attacks
 
 
@@ -138,9 +144,10 @@ def test_jobs_must_be_positive():
         run_campaign(["telnetd"], attacks=1, jobs=0)
 
 
-def test_unknown_workload_fails_fast():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_workload_fails_fast(jobs):
     with pytest.raises(KeyError, match="unknown workload"):
-        run_campaign(["no-such-server"], attacks=1, jobs=2)
+        run_campaign(["no-such-server"], attacks=1, jobs=jobs)
 
 
 def test_zero_attacks_yields_empty_results():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.attacks.campaign import run_attack
+from repro.attacks.campaign import run_attack_detailed
 from repro.cpu.simulator import normalized_performance
 from repro.pipeline import compile_program
 from repro.workloads import all_workloads
@@ -131,7 +131,9 @@ def test_attack_outcomes_and_alarms_match_golden(name, opt):
     workload = WORKLOADS[name]
     recomputed = [
         _outcome_dict(
-            run_attack(program, workload, index, seed_prefix=SEED_PREFIX)
+            run_attack_detailed(
+                program, workload, index, seed_prefix=SEED_PREFIX
+            ).outcome
         )
         for index in range(ATTACKS)
     ]

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.attacks.campaign import CampaignError, run_attack
+from repro.attacks.campaign import CampaignError, run_attack_detailed
 from repro.cpu.simulator import normalized_performance
 from repro.parallel.engine import ShardResult, merge_shard_results
 from repro.pipeline import compile_program
@@ -79,7 +79,7 @@ def test_run_attack_rejects_unknown_timing_mode():
     workload = WORKLOADS["telnetd"]
     program = compile_program(workload.source, workload.name, 0)
     with pytest.raises(ValueError, match="unknown timing mode"):
-        run_attack(program, workload, 0, timing_mode="approximate")
+        run_attack_detailed(program, workload, 0, timing_mode="approximate")
 
 
 def test_timed_attack_records_cycles_without_perturbing_outcome():
@@ -88,14 +88,16 @@ def test_timed_attack_records_cycles_without_perturbing_outcome():
     workload = WORKLOADS["telnetd"]
     program = compile_program(workload.source, workload.name, 0)
     for index in range(3):
-        untimed = run_attack(program, workload, index, seed_prefix="segm:")
-        timed = run_attack(
+        untimed = run_attack_detailed(
+            program, workload, index, seed_prefix="segm:"
+        ).outcome
+        timed = run_attack_detailed(
             program,
             workload,
             index,
             seed_prefix="segm:",
             timing_mode="segment",
-        )
+        ).outcome
         assert untimed.cycles is None
         assert isinstance(timed.cycles, int) and timed.cycles > 0
         for field in (
@@ -135,9 +137,9 @@ def test_merge_accepts_uniform_timing_mode():
     workload = WORKLOADS["telnetd"]
     program = compile_program(workload.source, workload.name, 0)
     outcomes = [
-        run_attack(
+        run_attack_detailed(
             program, workload, index, seed_prefix="segm:", timing_mode="exact"
-        )
+        ).outcome
         for index in range(4)
     ]
     shards = [
