@@ -7,6 +7,8 @@ re-proof (:mod:`repro.staticcheck.feasaudit`):
 
 * ``FeasRange`` lattice algebra (join / widen / outcome intersection /
   affine images) as hypothesis properties;
+* the fixpoint never hashes a ``Variable`` — slot resolution in
+  ``summarize_blocks`` is the only place that may;
 * the feasible-path MFP is pointwise at least as tight as the plain
   MFP on random loop-free programs, and identical when no edge is ever
   infeasible;
@@ -26,28 +28,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import feasible
 from repro.analysis.alias import analyze_aliases
 from repro.analysis.branch_info import OutcomeSet, analyze_branches
 from repro.analysis.defs import DefinitionMap, analyze_definitions
 from repro.analysis.feasible import (
-    FeasRange,
+    TOP,
+    _branch_edge,
     _canonical,
+    _edge_env,
+    _transfer,
     analyze_feasible,
+    entry_reachability,
     propagate_from_edge,
+    range_affine,
+    range_contains,
+    range_intersect,
+    range_join,
+    range_of_outcome,
+    range_widen,
+    range_within,
     render_edge,
     summarize_blocks,
 )
 from repro.analysis.purity import analyze_purity
-from repro.analysis.ranges import Interval
+from repro.analysis.ranges import NEG_INF, POS_INF
 from repro.correlation.provenance import REASON_FEASIBLE
-from repro.ir.instructions import RelOp
+from repro.ir.instructions import RelOp, Variable
 from repro.pipeline import compile_program, compile_program_cached
 from repro.staticcheck import errors_in, run_passes
 from repro.staticcheck.domain import ValueSet
 from repro.staticcheck.facts import summarize_function
 from repro.staticcheck.feasaudit import _witness_restricted_mfp, audit_feasible
 from repro.staticcheck.mfp import solve_range_mfp
-from repro.workloads import get_workload
+from repro.workloads import all_workloads, get_workload
 
 # The first branch decides both later checks: after (n > 0) commits a
 # direction, `flag` is a known constant (forcing the second branch) and
@@ -369,14 +383,14 @@ HOLES = st.none() | st.integers(min_value=-6, max_value=6)
 
 
 def _make_range(lo, hi, hole):
-    return _canonical(Interval(min(lo, hi), max(lo, hi)), hole)
+    return _canonical(min(lo, hi), max(lo, hi), hole)
 
 
 FEAS_RANGES = st.one_of(
     st.builds(_make_range, BOUNDS, BOUNDS, HOLES),
-    st.builds(lambda b, hole: _canonical(Interval.at_least(b), hole), BOUNDS, HOLES),
-    st.builds(lambda b, hole: _canonical(Interval.at_most(b), hole), BOUNDS, HOLES),
-    st.builds(lambda hole: _canonical(Interval.top(), hole), HOLES),
+    st.builds(lambda b, hole: _canonical(b, POS_INF, hole), BOUNDS, HOLES),
+    st.builds(lambda b, hole: _canonical(NEG_INF, b, hole), BOUNDS, HOLES),
+    st.builds(lambda hole: _canonical(NEG_INF, POS_INF, hole), HOLES),
 )
 
 OUTCOMES = st.builds(
@@ -393,36 +407,36 @@ def test_join_is_an_upper_bound(a, b, v):
     # may keep either operand's hole when both are excluded by both
     # sides (e.g. [0,inf]\{1} vs [-inf,0]\{-1}).  Both orders must be
     # upper bounds with the same interval hull, and idempotence holds.
-    joined = a.join(b)
-    flipped = b.join(a)
-    assert joined.interval == flipped.interval
-    assert a.join(a) == a
-    if a.contains(v) or b.contains(v):
-        assert joined.contains(v)
-        assert flipped.contains(v)
+    joined = range_join(a, b)
+    flipped = range_join(b, a)
+    assert (joined.lo, joined.hi) == (flipped.lo, flipped.hi)
+    assert range_join(a, a) == a
+    if range_contains(a, v) or range_contains(b, v):
+        assert range_contains(joined, v)
+        assert range_contains(flipped, v)
 
 
 @given(a=FEAS_RANGES, b=FEAS_RANGES, v=SAMPLES)
 def test_widen_covers_both_operands(a, b, v):
-    widened = a.widen(b)
-    if a.contains(v) or b.contains(v):
-        assert widened.contains(v)
+    widened = range_widen(a, b)
+    if range_contains(a, v) or range_contains(b, v):
+        assert range_contains(widened, v)
 
 
 @given(a=FEAS_RANGES, outcome=OUTCOMES, v=SAMPLES)
 def test_intersect_outcome_is_sound_and_reducing(a, outcome, v):
-    refined = a.intersect_outcome(outcome)
-    if a.contains(v) and outcome.contains_value(v):
-        assert refined.contains(v)
+    refined = range_intersect(a, range_of_outcome(outcome))
+    if range_contains(a, v) and outcome.contains_value(v):
+        assert range_contains(refined, v)
     # The refinement can only shrink: one representable hole means the
     # outcome's hole may be dropped, but never anything outside `a`.
-    if refined.contains(v):
-        assert a.contains(v)
+    if range_contains(refined, v):
+        assert range_contains(a, v)
 
 
 @given(a=FEAS_RANGES, outcome=OUTCOMES, v=SAMPLES)
 def test_within_outcome_means_every_value_satisfies(a, outcome, v):
-    if a.within_outcome(outcome) and a.contains(v):
+    if range_within(a, range_of_outcome(outcome)) and range_contains(a, v):
         assert outcome.contains_value(v)
 
 
@@ -433,8 +447,53 @@ def test_within_outcome_means_every_value_satisfies(a, outcome, v):
     v=SAMPLES,
 )
 def test_affine_image_is_sound(a, sign, offset, v):
-    if a.contains(v):
-        assert a.affine_image(sign, offset).contains(sign * v + offset)
+    if range_contains(a, v):
+        assert range_contains(range_affine(a, sign, offset), sign * v + offset)
+
+
+# ----------------------------------------------------------------------
+# The fixpoint runs over variable slots, never Variable keys
+# ----------------------------------------------------------------------
+
+
+def test_propagations_never_hash_variables(monkeypatch):
+    """``summarize_blocks`` resolves every variable to an int slot once;
+    after that, every per-edge propagation of ``analyze_feasible`` and
+    the entry-seeded ``entry_reachability`` run with hashing a
+    ``Variable`` raising, and produce the same results."""
+    contexts = []
+    for workload in all_workloads():
+        module = compile_program(workload.source, workload.name, 3).module
+        analyze_aliases(module)
+        purity = analyze_purity(module)
+        for fn in module.functions:
+            if not fn.blocks:
+                continue
+            def_map, _ = analyze_definitions(fn, module, purity)
+            facts_by_pc = analyze_branches(fn, def_map)
+            contexts.append(
+                (
+                    fn,
+                    def_map,
+                    facts_by_pc,
+                    summarize_blocks(fn, def_map, facts_by_pc),
+                    analyze_feasible(fn, def_map, facts_by_pc),
+                    entry_reachability(fn, def_map, facts_by_pc),
+                )
+            )
+    assert any(expected.findings for *_, expected, _ in contexts)
+
+    def unhashable(self):
+        raise AssertionError(f"hashed {self!r}")
+
+    for fn, def_map, facts_by_pc, programs, expected, reach in contexts:
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                feasible, "summarize_blocks", lambda *_args: programs
+            )
+            patch.setattr(Variable, "__hash__", unhashable)
+            assert analyze_feasible(fn, def_map, facts_by_pc) == expected
+            assert entry_reachability(fn, def_map, facts_by_pc) == reach
 
 
 # ----------------------------------------------------------------------
@@ -516,16 +575,12 @@ def _builder_context(source):
     fn = next(f for f in module.functions if f.name == "main")
     def_map, _ = analyze_definitions(fn, module, purity)
     facts_by_pc = analyze_branches(fn, def_map)
-    programs = summarize_blocks(fn, def_map)
-    facts_of_label = {
-        facts.block_label: facts for facts in facts_by_pc.values()
-    }
-    return fn, def_map, facts_by_pc, programs, facts_of_label
+    programs = summarize_blocks(fn, def_map, facts_by_pc)
+    return fn, def_map, facts_by_pc, programs
 
 
 def _range_subset(a, b):
-    """Is FeasRange/ValueSet ``a`` contained in ``b``?  (Both domains
-    expose the same interval-with-hole structure.)"""
+    """Is ValueSet ``a`` contained in ``b``?"""
     if a.is_empty:
         return True
     if b.is_empty:
@@ -535,9 +590,21 @@ def _range_subset(a, b):
     return b.hole is None or not a.contains(b.hole)
 
 
-def _env_subset(tight, loose, top):
+def _feas_subset(a, b):
+    """Is FeasRange ``a`` contained in ``b``?  The same test as
+    :func:`_range_subset`, over the flat ``(lo, hi, hole)`` fields."""
+    if a.lo > a.hi:
+        return True
+    if b.lo > b.hi:
+        return False
+    if not (b.lo <= a.lo and a.hi <= b.hi):
+        return False
+    return b.hole is None or not range_contains(a, b.hole)
+
+
+def _env_subset(tight, loose, top, subset=_range_subset):
     for var in set(tight) | set(loose):
-        if not _range_subset(tight.get(var, top), loose.get(var, top)):
+        if not subset(tight.get(var, top), loose.get(var, top)):
             return False
     return True
 
@@ -545,69 +612,60 @@ def _env_subset(tight, loose, top):
 @settings(max_examples=25, deadline=None)
 @given(source=branchy_source())
 def test_pruned_mfp_is_at_least_as_tight_as_plain(source):
-    fn, _, _, programs, facts_of_label = _builder_context(source)
+    fn, _, _, programs = _builder_context(source)
     for block in fn.blocks:
         if not block.ends_in_cond_branch():
             continue
         for taken in (True, False):
             pruned = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=True
+                programs, block.label, taken, prune=True
             )
             plain = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=False
+                programs, block.label, taken, prune=False
             )
             assert (pruned is None) == (plain is None)
             if pruned is None:
                 continue
-            pruned_states, pruned_edges = pruned
-            plain_states, _ = plain
+            pruned_states, pruned_edges = pruned.states, pruned.pruned
+            plain_states = plain.states
             assert set(pruned_states) <= set(plain_states)
             for label, env in pruned_states.items():
                 assert _env_subset(
-                    env, plain_states[label], FeasRange.top()
+                    env, plain_states[label], TOP, _feas_subset
                 ), (block.label, taken, label)
             # Every claimed prune re-proves from the returned fixpoint.
-            from repro.analysis.feasible import _edge_env, _transfer
-
             for label, direction in pruned_edges:
-                env_out, snapshots = _transfer(
-                    programs[label], pruned_states[label]
-                )
-                assert (
-                    _edge_env(
-                        facts_of_label.get(label), env_out, snapshots, direction
-                    )
-                    is None
-                )
+                program = programs[label]
+                env_out, snapshots = _transfer(program, pruned_states[label])
+                _, refinement = _branch_edge(program, direction)
+                assert _edge_env(refinement, env_out, snapshots) is None
 
 
 @settings(max_examples=25, deadline=None)
 @given(source=unprunable_source())
 def test_pruning_changes_nothing_without_infeasible_edges(source):
-    fn, _, _, programs, facts_of_label = _builder_context(source)
+    fn, _, _, programs = _builder_context(source)
     for block in fn.blocks:
         if not block.ends_in_cond_branch():
             continue
         for taken in (True, False):
             pruned = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=True
+                programs, block.label, taken, prune=True
             )
             plain = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=False
+                programs, block.label, taken, prune=False
             )
             assert (pruned is None) == (plain is None)
             if pruned is None:
                 continue
-            assert pruned[1] == set()
-            assert pruned[0] == plain[0]
+            assert pruned.pruned == set()
+            assert pruned.states == plain.states
 
 
 @settings(max_examples=25, deadline=None)
 @given(source=branchy_source())
 def test_findings_witness_the_fixpoint_pruned_set(source):
-    fn, def_map, facts_by_pc, programs, facts_of_label = _builder_context(
-        source
-    )
+    fn, def_map, facts_by_pc, programs = _builder_context(source)
     label_of_pc = {
         program.branch_pc: program.label
         for program in programs.values()
@@ -615,13 +673,10 @@ def test_findings_witness_the_fixpoint_pruned_set(source):
     }
     analysis = analyze_feasible(fn, def_map, facts_by_pc)
     for (source_pc, taken), per_target in analysis.findings.items():
-        result = propagate_from_edge(
-            programs, facts_of_label, label_of_pc[source_pc], taken
-        )
+        result = propagate_from_edge(programs, label_of_pc[source_pc], taken)
         assert result is not None
-        _, pruned_edges = result
         expected = tuple(
-            sorted(render_edge(label, d) for label, d in pruned_edges)
+            sorted(render_edge(label, d) for label, d in result.pruned)
         )
         for finding in per_target.values():
             assert finding.witness == expected
