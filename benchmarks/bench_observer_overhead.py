@@ -18,7 +18,8 @@ Measures what attaching observers costs one interpreter execution:
   training: the campaign-speed configuration;
 * ``full_stack_traced`` — the full stack plus the opt-in tracing /
   histogram instrumentation a traced session adds at run boundaries
-  (one hierarchical span, two histogram observations per run), so the
+  (one ``phase`` call — a hierarchical span and a ``run_seconds``
+  sample — and a ``run.steps_per_sec`` sample per run), so the
   bench-diff gate pins both that tracing-off stays free and that
   tracing-on overhead stays bounded.
 
@@ -35,7 +36,6 @@ bench-diff gate watches direction-aware.
 """
 
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -45,7 +45,7 @@ from repro.cpu.params import ProcessorParams
 from repro.cpu.pipeline import TimingModel
 from repro.cpu.simulator import TimingObserver
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer
+from repro.observability.tracing import Tracer, phase
 from repro.pipeline import observed_run
 from repro.runtime.observer import ExecutionObserver
 from repro.runtime.replay import TraceRecorder
@@ -143,16 +143,15 @@ def test_observer_overhead(benchmark, compiled_workloads, workload_inputs,
             observers[0] = program.new_ipds()
         if tracer is None:
             return observed_run(program, observers=observers, inputs=inputs)
-        started = time.perf_counter()
-        with tracer.span("run", workload=WORKLOAD, scale=SCALE):
+        with phase(
+            "run", tracer, registry, workload=WORKLOAD, scale=SCALE
+        ) as run:
             result = observed_run(
                 program, observers=observers, inputs=inputs
             )
-        elapsed = time.perf_counter() - started
-        registry.observe_histogram("run.wall_seconds", elapsed)
-        if elapsed > 0:
+        if run.seconds > 0:
             registry.observe_histogram(
-                "run.steps_per_sec", result.steps / elapsed
+                "run.steps_per_sec", result.steps / run.seconds
             )
         return result
 

@@ -30,7 +30,7 @@ Subcommands:
   concurrent sessions over a local socket (NDJSON protocol, shared
   compile cache, per-session alarm policies; see DESIGN.md §4f);
 * ``obs``           — campaign forensics observatory: aggregate a
-  campaign's ``--forensics --trace-out`` outcome log into
+  campaign's ``--forensics --outcomes-out`` log into
   explained-correlation histograms (which compiler proofs caught the
   detected attacks, per reason and per workload).
 
@@ -44,14 +44,15 @@ document.
 
 Observability: ``run``, ``attack``, ``campaign`` and ``timing`` accept
 ``--metrics-out PATH`` (a structured JSON run manifest, or append-mode
-JSONL when the path ends in ``.jsonl``) and ``--trace-out PATH``
-(committed control-flow events for the single-run commands — directly
-replayable with ``repro.cli replay`` — or a per-attack outcome log for
-campaigns).  The same verbs accept ``--prom-out PATH`` (Prometheus
-text-exposition rendering of the run's metrics, histograms included)
-and ``--chrome-trace-out PATH`` (hierarchical spans as Chrome
-trace-event JSON, loadable in Perfetto).  ``run`` and ``replay`` accept
-``--allow-unprotected`` for tolerant partial-coverage checking.
+JSONL when the path ends in ``.jsonl``), ``--prom-out PATH``
+(Prometheus text-exposition rendering of the run's metrics) and
+``--chrome-trace-out PATH`` (hierarchical spans as Chrome trace-event
+JSON, loadable in Perfetto; ``serve`` takes it too).  ``run``,
+``attack`` and ``timing`` take ``--trace-out PATH`` (committed
+control-flow events, directly replayable with ``repro.cli replay``);
+``campaign`` takes ``--outcomes-out PATH`` (a per-attack outcome log).
+``run`` and ``replay`` accept ``--allow-unprotected`` for tolerant
+partial-coverage checking.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .observability import (
     RunManifest,
     Tracer,
     export_trace,
-    maybe_span,
+    phase,
     write_manifest,
     write_prometheus,
     write_spans,
@@ -361,7 +362,7 @@ def _run_staticcheck(args: argparse.Namespace, passes, fail_on: str) -> int:
     try:
         groups = []
         for label, source, name in _staticcheck_targets(args):
-            with metrics.span("compile"):
+            with phase("compile", metrics=metrics):
                 program = compile_program(source, name, args.opt)
             diagnostics = run_passes(program, names=passes, metrics=metrics)
             groups.append((label, diagnostics))
@@ -461,7 +462,7 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
         return EXIT_TOOL_ERROR
     for label, source, name in targets:
         try:
-            with metrics.span("compile"):
+            with phase("compile", metrics=metrics):
                 programs = {
                     opt: compile_program(source, name, opt)
                     for opt in (0, 1, 2, 3)
@@ -557,7 +558,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _dump_outcomes(results, path: str) -> int:
-    """Write one JSONL record per attack outcome (campaign --trace-out)."""
+    """Write one JSONL record per attack outcome (campaign --outcomes-out)."""
     writer = JsonlWriter(path)
     for result in results:
         for outcome in result.attacks:
@@ -605,12 +606,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
             source, name = get_workload(args.file).source, args.file
         else:
             source, name = _read_source(args.file), args.file
-        with metrics.span("compile"):
+        with phase("compile", metrics=metrics):
             program = compile_program(source, name, args.opt)
         tables, _ = load_program(program.to_image())
         with open(args.trace, "r", encoding="utf-8") as handle:
             events = list(load_trace(handle))
-        with metrics.span("replay"):
+        with phase("replay", metrics=metrics):
             _, reports = explain_trace(
                 tables,
                 events,
@@ -729,9 +730,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         }
     if args.forensics:
         _print_campaign_forensics(results)
-    if args.trace_out:
-        count = _dump_outcomes(results, args.trace_out)
-        print(f"outcomes: {count} records -> {args.trace_out}")
+    if args.outcomes_out:
+        count = _dump_outcomes(results, args.outcomes_out)
+        print(f"outcomes: {count} records -> {args.outcomes_out}")
     _emit_observability(args, metrics, tracer)
     _emit_manifest(args, manifest, metrics, **outcome_summary)
     return 0
@@ -748,7 +749,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         quarantine_dir=args.quarantine_dir,
         default_policy=args.policy,
-        trace_out=args.trace_out,
+        trace_out=args.chrome_trace_out,
     )
     daemon.on_ready = lambda where: print(
         f"serving on {where} ({args.max_workers} workers)", flush=True
@@ -768,11 +769,11 @@ def cmd_timing(args: argparse.Namespace) -> int:
         timing_mode=args.timing_mode,
     )
     workload = get_workload(args.workload)
-    with maybe_span(
-        tracer, "timing", workload=args.workload, scale=args.scale,
+    with phase(
+        "timing", tracer, workload=args.workload, scale=args.scale,
         timing_mode=args.timing_mode,
     ):
-        with maybe_span(tracer, "compile"), metrics.span("compile"):
+        with phase("compile", tracer, metrics):
             program = compile_program_cached(workload.source, workload.name)
         inputs = workload.make_inputs(
             random.Random(f"cli:{workload.name}"), args.scale
@@ -782,7 +783,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
         if args.trace_out:
             recorder = TraceRecorder()
             observers.append(recorder)
-        with maybe_span(tracer, "simulate"), metrics.span("simulate"):
+        with phase("simulate", tracer, metrics):
             comp = normalized_performance(
                 program, inputs, workload.name, observers=observers,
                 timing_mode=args.timing_mode,
@@ -849,15 +850,19 @@ def _add_forensics_args(p: argparse.ArgumentParser) -> None:
 
 def _add_observability_args(
     p: argparse.ArgumentParser,
-    trace_help: str = "write the control-flow event trace "
+    log_flag: str = "--trace-out",
+    log_help: str = "write the control-flow event trace "
     "(replayable with the 'replay' subcommand)",
 ) -> None:
+    """The sink flags every run verb shares, plus its one record log
+    (``--trace-out`` events, or ``--outcomes-out`` for campaigns)."""
     p.add_argument("--metrics-out", default=None,
-                   help="write a JSON run manifest (counters, spans, "
-                        "results); appends one line if path ends in .jsonl")
-    p.add_argument("--trace-out", default=None, help=trace_help)
+                   help="write a JSON run manifest (counters, gauges, "
+                        "histograms, results); appends one line if path "
+                        "ends in .jsonl")
+    p.add_argument(log_flag, default=None, help=log_help)
     p.add_argument("--prom-out", default=None, metavar="PATH",
-                   help="write the run's metrics (counters, timers, "
+                   help="write the run's metrics (counters, gauges, "
                         "histograms) in Prometheus text exposition format")
     p.add_argument("--chrome-trace-out", default=None, metavar="PATH",
                    help="record hierarchical spans and write Chrome "
@@ -982,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "identical either way)")
     _add_forensics_args(p)
     _add_observability_args(
-        p, trace_help="append per-attack outcome records as JSONL"
+        p, "--outcomes-out", "append per-attack outcome records as JSONL"
     )
     p.set_defaults(func=cmd_campaign)
 
@@ -992,7 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(exit 0 no alarms / 1 explained alarms / 2 tool error)",
     )
     p.add_argument("file", help="a mini-C file or a workload name")
-    p.add_argument("trace", help="event trace from 'record' / --trace-out")
+    p.add_argument("trace", help="event trace from 'record' or "
+                                 "run/attack --trace-out")
     _add_opt_arg(p)
     p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH,
                    metavar="N", help="flight recorder ring size for the "
@@ -1014,11 +1020,11 @@ def build_parser() -> argparse.ArgumentParser:
         "obs",
         help="campaign forensics observatory: which compiler proofs "
              "caught the detected attacks (reads a campaign "
-             "--forensics --trace-out outcome log)",
+             "--forensics --outcomes-out log)",
     )
     p.add_argument("outcomes",
                    help="per-attack outcome JSONL from "
-                        "'campaign --forensics --trace-out'")
+                        "'campaign --forensics --outcomes-out'")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the observatory report as JSON "
                         "('-' for stdout)")
@@ -1055,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["log", "kill-session", "quarantine"],
                    help="default alarm policy for sessions that don't "
                         "name one (default: log)")
-    p.add_argument("--trace-out", default=None, metavar="PATH",
+    p.add_argument("--chrome-trace-out", default=None, metavar="PATH",
                    help="record per-session spans under one daemon root "
                         "span and write them at shutdown (Chrome "
                         "trace-event JSON; .jsonl appends span records)")

@@ -2,10 +2,11 @@
 
 The production-deployment counterpart of the paper's measurement
 sections: every CLI command and campaign can account what it did
-(counters), how long each stage took (wall-clock spans), and emit a
-structured, machine-readable :class:`RunManifest` for dashboards and
-audit trails — without perturbing the deterministic experiment results
-themselves (metrics ride alongside, never inside, campaign outcomes).
+(counters), how long each phase took (one :func:`phase` call feeds a
+trace span and a duration histogram), and emit a structured,
+machine-readable :class:`RunManifest` for dashboards and audit trails
+— without perturbing the deterministic experiment results themselves
+(metrics ride alongside, never inside, campaign outcomes).
 """
 
 from .benchdiff import (
@@ -20,8 +21,6 @@ from .metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Span,
-    Timer,
     exponential_bounds,
 )
 from .prometheus import (
@@ -33,14 +32,13 @@ from .telemetry import (
     JsonlWriter,
     export_trace,
     write_manifest,
-    write_metrics_jsonl,
 )
 from .tracing import (
     SpanRecord,
     TraceContext,
     Tracer,
     chrome_trace,
-    maybe_span,
+    phase,
     validate_chrome_trace,
     write_spans,
 )
@@ -54,22 +52,19 @@ __all__ = [
     "MetricRule",
     "MetricsRegistry",
     "RunManifest",
-    "Span",
     "SpanRecord",
-    "Timer",
     "TraceContext",
     "Tracer",
     "chrome_trace",
     "compare_dirs",
     "exponential_bounds",
     "export_trace",
-    "maybe_span",
+    "phase",
     "render_prometheus",
     "render_table",
     "validate_chrome_trace",
     "validate_exposition",
     "write_manifest",
-    "write_metrics_jsonl",
     "write_prometheus",
     "write_spans",
 ]

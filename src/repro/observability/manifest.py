@@ -15,8 +15,10 @@ from typing import Any, Dict, Optional
 
 from .metrics import MetricsRegistry
 
-#: Manifest schema version — bump on breaking layout changes.
-MANIFEST_VERSION = 1
+#: Manifest schema version — bump on breaking layout changes.  Version 2
+#: dropped ``metrics.timers`` and ``metrics.spans``: durations are
+#: ``<phase>_seconds`` histograms.
+MANIFEST_VERSION = 2
 
 
 def _utc_iso(epoch_seconds: float) -> str:

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, timers, histograms, wall-clock spans.
+"""Metrics registry: counters, gauges and histograms.
 
 Deliberately dependency-free and cheap: a counter bump is a dict lookup
 plus an integer add, so metrics can ride inside campaign hot loops.
@@ -9,17 +9,19 @@ crossed as a plain ``snapshot()`` dict — picklable primitives only).
 Histograms turn the daemon's single gauges into distributions: fixed
 exponential buckets whose snapshots merge associatively, so shard- and
 session-local observations fold into campaign- and daemon-level
-distributions without ever shipping raw samples.  The Prometheus text
-renderer lives in :mod:`repro.observability.prometheus`.
+distributions without ever shipping raw samples.  Durations are
+histograms too: :func:`repro.observability.tracing.phase` times a phase
+once and records it as the ``<phase>_seconds`` histogram, so a
+snapshot's size depends on the metric names in use, never on how many
+phases ran.  The Prometheus text renderer lives in
+:mod:`repro.observability.prometheus`.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -32,36 +34,6 @@ class Counter:
     def increment(self, amount: int = 1) -> int:
         self.value += amount
         return self.value
-
-
-@dataclass
-class Timer:
-    """Aggregate of wall-clock samples for one named stage."""
-
-    name: str
-    count: int = 0
-    total_seconds: float = 0.0
-    min_seconds: float = float("inf")
-    max_seconds: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total_seconds += seconds
-        self.min_seconds = min(self.min_seconds, seconds)
-        self.max_seconds = max(self.max_seconds, seconds)
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total_seconds": round(self.total_seconds, 6),
-            "mean_seconds": round(self.mean_seconds, 6),
-            "min_seconds": round(self.min_seconds, 6) if self.count else 0.0,
-            "max_seconds": round(self.max_seconds, 6),
-        }
 
 
 #: Default exponential bucket ladder: 1 µs · 4^i for 24 buckets spans
@@ -157,31 +129,17 @@ class Histogram:
         return pairs
 
 
-@dataclass(frozen=True)
-class Span:
-    """One completed wall-clock span (per-stage timing record)."""
-
-    name: str
-    seconds: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "seconds": round(self.seconds, 6)}
-
-
 @dataclass
 class MetricsRegistry:
-    """Named counters + timers + an ordered span log for one run.
+    """Named counters, gauges and histograms for one run.
 
     Long-lived deployments (the detection daemon) additionally use
     *gauges* — point-in-time values like "sessions active" that are set,
-    not accumulated.  Gauges only appear in :meth:`snapshot` when at
-    least one is set, so one-shot runs keep their historical payload
-    shape byte-for-byte.
+    not accumulated.  Gauges and histograms only appear in
+    :meth:`snapshot` when at least one is recorded.
     """
 
     counters: Dict[str, Counter] = field(default_factory=dict)
-    timers: Dict[str, Timer] = field(default_factory=dict)
-    spans: List[Span] = field(default_factory=list)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
 
@@ -227,28 +185,6 @@ class MetricsRegistry:
         """Record one sample into a named distribution."""
         self.histogram(name).observe(value)
 
-    # -- timers / spans ---------------------------------------------------
-
-    def timer(self, name: str) -> Timer:
-        timer = self.timers.get(name)
-        if timer is None:
-            timer = self.timers[name] = Timer(name)
-        return timer
-
-    def observe_seconds(self, name: str, seconds: float) -> None:
-        self.timer(name).observe(seconds)
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Time a stage: records both a Timer sample and a Span entry."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.observe_seconds(name, elapsed)
-            self.spans.append(Span(name, elapsed))
-
     # -- aggregation ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -258,18 +194,11 @@ class MetricsRegistry:
                 name: counter.value
                 for name, counter in sorted(self.counters.items())
             },
-            "timers": {
-                name: timer.to_dict()
-                for name, timer in sorted(self.timers.items())
-            },
-            "spans": [span.to_dict() for span in self.spans],
         }
         if self.gauges:
             payload["gauges"] = {
                 name: value for name, value in sorted(self.gauges.items())
             }
-        # Like gauges: only present when used, so one-shot runs keep the
-        # historical payload shape byte-for-byte.
         if self.histograms:
             payload["histograms"] = {
                 name: histogram.to_dict()
@@ -288,23 +217,6 @@ class MetricsRegistry:
             return
         for name, value in snapshot.get("counters", {}).items():
             self.increment(name, value)
-        for name, data in snapshot.get("timers", {}).items():
-            timer = self.timer(name)
-            count = data.get("count", 0)
-            if not count:
-                continue
-            timer.count += count
-            timer.total_seconds += data.get("total_seconds", 0.0)
-            timer.min_seconds = min(
-                timer.min_seconds, data.get("min_seconds", float("inf"))
-            )
-            timer.max_seconds = max(
-                timer.max_seconds, data.get("max_seconds", 0.0)
-            )
-        for span in snapshot.get("spans", []):
-            self.spans.append(
-                Span(span.get("name", "?"), span.get("seconds", 0.0))
-            )
         # Gauges are point-in-time readings: the child's latest value
         # wins (there is nothing meaningful to accumulate).
         for name, value in snapshot.get("gauges", {}).items():

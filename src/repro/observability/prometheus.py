@@ -6,11 +6,10 @@ repo's metric vocabulary needs:
 
 * counters  → ``<prefix>_<name>_total`` (``# TYPE ... counter``);
 * gauges    → ``<prefix>_<name>`` (``# TYPE ... gauge``);
-* timers    → ``<prefix>_<name>_seconds`` summaries (``_count`` /
-  ``_sum``, no quantiles — the registry keeps aggregates, not samples);
 * histograms→ full ``_bucket{le="..."}`` / ``_sum`` / ``_count``
   families with cumulative bucket counts and the mandatory ``+Inf``
-  bucket.
+  bucket; a phase's ``<name>_seconds`` duration histogram renders as
+  ``<prefix>_<name>_seconds``.
 
 Everything renders from a plain ``snapshot()`` dict, so the daemon's
 ``metrics`` op and the CLI's ``--prom-out`` share one code path and a
@@ -73,14 +72,6 @@ def render_prometheus(
         metric = f"{prefix}_{sanitize_metric_name(name)}"
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(value)}")
-
-    for name, data in sorted(snapshot.get("timers", {}).items()):
-        metric = f"{prefix}_{sanitize_metric_name(name)}_seconds"
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {_format_value(data.get('count', 0))}")
-        lines.append(
-            f"{metric}_sum {_format_value(float(data.get('total_seconds', 0.0)))}"
-        )
 
     for name, data in sorted(snapshot.get("histograms", {}).items()):
         metric = f"{prefix}_{sanitize_metric_name(name)}"

@@ -1,11 +1,18 @@
-"""Hierarchical span tracing with cross-process context propagation.
+"""Phases: hierarchical trace spans and duration histograms, one call.
 
-The flat counters/timers of :mod:`repro.observability.metrics` say *how
-much* and *how long*; spans say *where the time went, causally*.  A
-:class:`Tracer` records a tree of :class:`SpanRecord` objects —
-``trace_id`` / ``span_id`` / ``parent_id`` with attributes and
-timestamped events — exactly the vocabulary of distributed tracing,
-scaled down to one dependency-free module.
+:func:`phase` is the one timing call for a stage of work.  It reads
+the clock once and feeds whichever sinks are attached: a
+:class:`Tracer` span named after the phase, and a ``<name>_seconds``
+histogram in a :class:`~repro.observability.metrics.MetricsRegistry`.
+Either may be ``None``, so call sites never fork on whether tracing
+or metrics are on; with both off a phase costs two clock reads, and
+the interpreter hot loop is never touched.
+
+The histogram says *how long*; the span says *where the time went,
+causally*.  A :class:`Tracer` records a tree of :class:`SpanRecord`
+objects — ``trace_id`` / ``span_id`` / ``parent_id`` with attributes
+and timestamped events — exactly the vocabulary of distributed
+tracing, scaled down to one dependency-free module.
 
 Two propagation boundaries matter in this codebase:
 
@@ -27,12 +34,6 @@ Export formats:
 * **JSONL** — one span record per line through the existing
   :class:`~repro.observability.telemetry.JsonlWriter` path (paths
   ending in ``.jsonl``).
-
-Tracing is strictly opt-in: every integration point takes
-``Optional[Tracer]`` and the :func:`maybe_span` helper degrades to a
-``nullcontext`` when no tracer is attached, so the disabled-by-default
-path costs one ``None`` check at run boundaries — the interpreter hot
-loop is never touched.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+
+from .metrics import MetricsRegistry
 
 #: Span-record schema version (carried in exported documents).
 TRACE_VERSION = 1
@@ -192,19 +196,16 @@ class Tracer:
             span_id=self.root_parent_id or self.trace_id,
         )
 
-    @contextmanager
-    def span(
+    def _open(
         self,
         name: str,
-        parent: Optional[TraceContext] = None,
-        **attributes: Any,
-    ) -> Iterator[SpanRecord]:
-        """Open one span; yields the live record for attribute updates.
-
-        ``parent`` overrides the implicit parent (this thread's active
-        span, else the tracer's root context) — the daemon uses it to
-        hang concurrently-running session spans under its root span.
-        """
+        parent: Optional[TraceContext],
+        attributes: Dict[str, Any],
+    ) -> SpanRecord:
+        """Start a span on this thread's stack.  ``parent`` overrides
+        the implicit parent (this thread's active span, else the
+        tracer's root context) — the daemon uses it to hang
+        concurrently-running session spans under its root span."""
         stack = self._stack()
         if parent is not None:
             parent_id: Optional[str] = parent.span_id
@@ -221,14 +222,13 @@ class Tracer:
             attributes=_clean_attributes(attributes),
             tid=threading.get_ident() & 0x7FFFFFFF,
         )
-        started = time.perf_counter()
         stack.append(record)
-        try:
-            yield record
-        finally:
-            record.duration_us = int((time.perf_counter() - started) * 1e6)
-            stack.pop()
-            self.finished.append(record)
+        return record
+
+    def _close(self, record: SpanRecord, seconds: float) -> None:
+        record.duration_us = int(seconds * 1e6)
+        self._stack().pop()
+        self.finished.append(record)
 
     def event(self, name: str, **attributes: Any) -> None:
         """Annotate the current span (no-op outside any span)."""
@@ -252,20 +252,43 @@ class Tracer:
         return len(span_dicts)
 
 
-def maybe_span(
-    tracer: Optional[Tracer],
+@dataclass
+class Phase:
+    """What :func:`phase` yields: the live span (``None`` untraced) and,
+    once the block has exited, the phase's measured duration."""
+
+    record: Optional[SpanRecord] = None
+    seconds: float = 0.0
+
+
+@contextmanager
+def phase(
     name: str,
+    tracer: Optional[Tracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    *,
     parent: Optional[TraceContext] = None,
     **attributes: Any,
-):
-    """``tracer.span(...)`` when tracing is on, ``nullcontext`` when off.
+) -> Iterator[Phase]:
+    """Time one phase of work with a single clock.
 
-    The one helper every integration point calls, so disabled tracing
-    costs a single ``None`` check at run boundaries.
+    With a ``tracer`` the phase is a span named ``name`` (parented as
+    :meth:`Tracer._open` describes, carrying ``attributes``); with
+    ``metrics`` its duration is one sample of the ``<name>_seconds``
+    histogram.  Both are recorded even when the body raises.
     """
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, parent=parent, **attributes)
+    timing = Phase()
+    if tracer is not None:
+        timing.record = tracer._open(name, parent, attributes)
+    started = perf_counter()
+    try:
+        yield timing
+    finally:
+        timing.seconds = perf_counter() - started
+        if tracer is not None:
+            tracer._close(timing.record, timing.seconds)
+        if metrics is not None:
+            metrics.observe_histogram(f"{name}_seconds", timing.seconds)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ the remaining shards.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
@@ -53,7 +52,7 @@ from ..attacks.campaign import (
     run_attack_detailed,
 )
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracing import TraceContext, Tracer, maybe_span
+from ..observability.tracing import TraceContext, Tracer, phase
 from ..pipeline import monitored_run
 from ..workloads.registry import Workload, get_workload, resolve_workloads
 from .cache import cached_compile
@@ -178,15 +177,14 @@ def _run_shard(task: ShardTask) -> ShardResult:
         else None
     )
     registry = MetricsRegistry() if task.collect_metrics else None
-    started = time.perf_counter()
-    with maybe_span(
-        tracer,
+    with phase(
         "shard",
+        tracer,
         workload=task.workload,
         attacks=len(task.indices),
         first_index=task.indices[0] if task.indices else -1,
-    ):
-        with maybe_span(tracer, "shard.compile", workload=task.workload):
+    ) as shard:
+        with phase("shard.compile", tracer, workload=task.workload):
             program = cached_compile(
                 workload.source, workload.name, spec.opt_level
             )
@@ -206,8 +204,8 @@ def _run_shard(task: ShardTask) -> ShardResult:
             for index in task.indices
         ]
     if registry is not None:
-        registry.observe_seconds(
-            f"workload.{task.workload}", time.perf_counter() - started
+        registry.observe_histogram(
+            f"workload.{task.workload}_seconds", shard.seconds
         )
     return ShardResult(
         outcomes=outcomes,
@@ -304,7 +302,8 @@ def run_campaign(
     identical at any ``jobs`` value.
 
     ``metrics`` accumulates telemetry: the counters every attack
-    records plus per-workload wall-clock timers.  Each shard collects
+    records plus a ``workload.<name>_seconds`` histogram of shard wall
+    time (one sample per shard).  Each shard collects
     into its own registry and returns a picklable snapshot that is
     folded in here, so the counters are job-count-independent except
     ``campaign.jobs`` and ``campaign.shards``, which describe the
@@ -319,9 +318,9 @@ def run_campaign(
     if metrics is not None:
         metrics.increment("campaign.workloads", len(chosen))
         metrics.increment("campaign.jobs", jobs)
-    with maybe_span(
-        tracer,
+    with phase(
         "campaign",
+        tracer,
         workloads=len(chosen),
         attacks=attacks,
         jobs=jobs,

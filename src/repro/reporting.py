@@ -18,7 +18,7 @@ from .attacks.campaign import CampaignSummary
 from .correlation.encoding import SizeSummary, summarize_sizes
 from .cpu.params import IPDSHardwareParams, ProcessorParams
 from .cpu.simulator import PerformanceComparison, normalized_performance
-from .observability import MetricsRegistry, RunManifest, write_manifest
+from .observability import MetricsRegistry, RunManifest, phase, write_manifest
 from .parallel.engine import run_campaign
 from .pipeline import compile_program_cached
 from .workloads.registry import Workload, all_workloads
@@ -303,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     blocks: List[str] = []
     fig9 = None
     for artifact in wants:
-        with registry.span(f"artifact.{artifact}"):
+        with phase(f"artifact.{artifact}", metrics=registry):
             if artifact == "fig7":
                 # Seeded per (workload, index) and merged in index
                 # order, so the figure is byte-identical at any --jobs.

@@ -29,7 +29,7 @@ from typing import Any, Dict, Optional
 
 from ..observability.metrics import MetricsRegistry
 from ..observability.prometheus import render_prometheus
-from ..observability.tracing import TraceContext, Tracer, write_spans
+from ..observability.tracing import TraceContext, Tracer, phase, write_spans
 from ..parallel.cache import compile_cache_stats
 from .engine import DetectionSession
 from .policy import AlarmPolicy, make_policy
@@ -127,16 +127,14 @@ class DetectionDaemon:
         if self.on_ready is not None:
             self.on_ready(self.socket_path or f"{self.host}:{self.port}")
         try:
-            if self.tracer is not None:
-                with self.tracer.span(
-                    "serve",
-                    address=self.socket_path or f"{self.host}:{self.port}",
-                    max_workers=self.max_workers,
-                ) as root:
-                    self._trace_root = root.context
-                    async with server:
-                        await self._stop.wait()
-            else:
+            with phase(
+                "serve",
+                self.tracer,
+                address=self.socket_path or f"{self.host}:{self.port}",
+                max_workers=self.max_workers,
+            ) as root:
+                if root.record is not None:
+                    self._trace_root = root.record.context
                 async with server:
                     await self._stop.wait()
             # One scheduling beat for connection handlers to flush

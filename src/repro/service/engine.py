@@ -30,19 +30,13 @@ from __future__ import annotations
 
 import enum
 import io
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..interp.interpreter import RunResult, TamperSpec
 from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracing import (
-    SpanRecord,
-    TraceContext,
-    Tracer,
-    maybe_span,
-)
+from ..observability.tracing import SpanRecord, TraceContext, Tracer, phase
 from ..pipeline import (
     ProtectedProgram,
     compile_program_cached,
@@ -339,15 +333,8 @@ class DetectionSession:
     def _compile(self) -> ProtectedProgram:
         source, name = self.spec.resolve_program_source()
         self.program_name = name
-        started = time.perf_counter()
-        with maybe_span(self.tracer, "session.compile", program=name):
-            with self.metrics.span("compile"):
-                program = compile_program_cached(
-                    source, name, self.spec.opt_level
-                )
-        self.metrics.observe_histogram(
-            "session.compile_seconds", time.perf_counter() - started
-        )
+        with phase("session.compile", self.tracer, self.metrics, program=name):
+            program = compile_program_cached(source, name, self.spec.opt_level)
         self.program = program
         return program
 
@@ -372,8 +359,7 @@ class DetectionSession:
         )
         self.ipds = ipds
         extra, recorder = self._session_observers()
-        with maybe_span(self.tracer, "session.execute"), \
-                self.metrics.span("execute"):
+        with phase("session.execute", self.tracer, self.metrics):
             result = observed_run(
                 program,
                 observers=[ipds, *extra],
@@ -390,7 +376,7 @@ class DetectionSession:
 
     def _execute_attack_explicit(self) -> None:
         program = self._compile()
-        with self.metrics.span("clean"):
+        with phase("session.clean", metrics=self.metrics):
             clean = unmonitored_run(
                 program,
                 inputs=self.spec.inputs,
@@ -404,8 +390,7 @@ class DetectionSession:
         )
         self.ipds = ipds
         extra, recorder = self._session_observers()
-        with maybe_span(self.tracer, "session.attack"), \
-                self.metrics.span("attack"):
+        with phase("session.attack", self.tracer, self.metrics):
             attacked = observed_run(
                 program,
                 observers=[ipds, *extra],
@@ -432,12 +417,13 @@ class DetectionSession:
         workload = get_workload(self.spec.workload)
         program = self._compile()
         extra, recorder = self._session_observers()
-        with maybe_span(
-            self.tracer,
+        with phase(
             "session.attack",
+            self.tracer,
+            self.metrics,
             workload=workload.name,
             attack_index=self.spec.attack_index,
-        ), self.metrics.span("attack"):
+        ):
             execution = run_attack_detailed(
                 program,
                 workload,
@@ -474,7 +460,7 @@ class DetectionSession:
         self.ipds = ipds
         events = list(load_trace(io.StringIO(self.spec.trace_text)))
         self.trace_events = events
-        with self.metrics.span("replay"):
+        with phase("session.replay", metrics=self.metrics):
             ipds.run(events)
         record_ipds_metrics(self.metrics, ipds)
         self._explain()
@@ -487,17 +473,17 @@ class DetectionSession:
         self._set_state(SessionState.RUNNING)
         self.metrics.increment("session.started")
         killed = False
-        started = time.perf_counter()
         try:
-            with maybe_span(
-                self.tracer,
+            with phase(
                 "session",
+                self.tracer,
+                self.metrics,
                 parent=self.trace_parent,
                 session=self.session_id,
                 mode=self.spec.mode,
                 program=self.program_name,
-            ) as span:
-                self.session_span = span
+            ) as whole:
+                self.session_span = whole.record
                 if self.spec.mode == "run":
                     self._execute_run()
                 elif self.spec.mode == "replay":
@@ -509,11 +495,9 @@ class DetectionSession:
         except SessionKilled as kill:
             killed = True
             self.error = str(kill)
-        wall = time.perf_counter() - started
-        self.metrics.observe_histogram("session.wall_seconds", wall)
-        if self.run_result is not None and wall > 0:
+        if self.run_result is not None and whole.seconds > 0:
             self.metrics.observe_histogram(
-                "session.steps_per_sec", self.run_result.steps / wall
+                "session.steps_per_sec", self.run_result.steps / whole.seconds
             )
         if killed:
             self._set_state(SessionState.KILLED)

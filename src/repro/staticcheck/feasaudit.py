@@ -47,9 +47,9 @@ from ..correlation.provenance import REASON_FEASIBLE, ActionProvenance
 from ..correlation.tables import FunctionTables
 from ..ir.function import IRFunction, IRModule
 from .diagnostics import Diagnostic, DiagnosticSink
-from .domain import Env, ValueSet, env_get, env_join, env_set, env_widen
+from .domain import Env, ValueSet, env_get, env_set
 from .facts import BlockSummary, edge_environment, summarize_function, transfer_block
-from .mfp import WIDEN_AFTER
+from .mfp import edge_target, propagate, solve_range_mfp
 
 FEASAUDIT_PASS = "feasible-audit"
 
@@ -267,61 +267,45 @@ def _witness_restricted_mfp(
 ) -> Dict[str, Env]:
     """The MFP that may prune *only* the declared witness edges.
 
-    Identical worklist/join/widen discipline to
-    :func:`repro.staticcheck.mfp.solve_range_mfp`, with one deliberate
+    Same engine as :func:`repro.staticcheck.mfp.solve_range_mfp`
+    (:func:`repro.staticcheck.mfp.propagate`), with one deliberate
     difference: a conditional edge is dropped only when the witness
     declares it.  Every other edge propagates — an infeasible one with
     :func:`_relaxed_refinement`, which applies each direction-implied
     constraint that does not empty a binding but never produces the
     empty environment — so undeclared pruning can never carry the
-    proof."""
-    states: Dict[str, Env] = dict(seeds)
-    join_counts: Dict[str, int] = {}
-    worklist: List[str] = list(seeds)
-    while worklist:
-        label = worklist.pop()
-        summary = summaries[label]
-        env_out, snapshots = transfer_block(summary, states[label])
-        if summary.is_return:
-            continue
-        edges: List[Tuple[str, Env]] = []
+    proof.
+
+    The relaxed pass starts from the pruning MFP's fixpoint (with the
+    witness edges cut) rather than from the seeds alone.  The range
+    join is not monotone — ``{0} ⊔ {2} = [0, 2]`` yet
+    ``[-2, 2]∖{1} ⊔ {2} = [-2, 2]∖{1}`` — so a solver that only adds
+    edges is not otherwise bound to end up looser; starting from the
+    pruning fixpoint makes it cover that fixpoint pointwise, and the
+    relaxed edges then add everything undeclared pruning would hide."""
+
+    def relaxed_edges(summary: BlockSummary, env: Env) -> List[Tuple[str, Env]]:
+        env_out, snapshots = transfer_block(summary, env)
         if summary.jump_target is not None:
-            edges.append((summary.jump_target, env_out))
-        else:
-            for direction in (True, False):
-                if (label, direction) in witness:
-                    continue  # the record claims this edge never runs
-                edge_env = edge_environment(
-                    summary, env_out, snapshots, direction
-                )
-                if edge_env is None:
-                    # Infeasible but undeclared: propagate a relaxed
-                    # refinement instead of pruning.
-                    edge_env = _relaxed_refinement(
-                        summary, env_out, direction
-                    )
-                next_label = (
-                    summary.taken_target
-                    if direction
-                    else summary.fallthrough_target
-                )
-                edges.append((next_label, edge_env))
-        for next_label, env in edges:
-            if next_label not in states:
-                states[next_label] = env
-                worklist.append(next_label)
-                continue
-            joined = env_join(states[next_label], env)
-            if joined == states[next_label]:
-                continue
-            count = join_counts.get(next_label, 0) + 1
-            join_counts[next_label] = count
-            if count > WIDEN_AFTER:
-                joined = env_widen(states[next_label], joined)
-            if joined != states[next_label]:
-                states[next_label] = joined
-                worklist.append(next_label)
-    return states
+            return [(summary.jump_target, env_out)]
+        edges: List[Tuple[str, Env]] = []
+        for direction in (True, False):
+            if (summary.label, direction) in witness:
+                continue  # the record claims this edge never runs
+            edge_env = edge_environment(summary, env_out, snapshots, direction)
+            if edge_env is None:
+                # Infeasible but undeclared: propagate a relaxed
+                # refinement instead of pruning.
+                edge_env = _relaxed_refinement(summary, env_out, direction)
+            edges.append((edge_target(summary, direction), edge_env))
+        return edges
+
+    pruned = solve_range_mfp(
+        summaries,
+        seeds,
+        should_cut=lambda summary, direction: (summary.label, direction) in witness,
+    )
+    return propagate(summaries, pruned, relaxed_edges)
 
 
 def _relaxed_refinement(summary: BlockSummary, env_out: Env, taken: bool) -> Env:

@@ -1,8 +1,10 @@
 """Range MFP solver over block summaries.
 
-A small worklist engine shared by the correlation auditor (seeded at
-one firing edge, with propagation cut at overwriting edges) and the
-dead-branch detector (seeded at the function entry, no cuts).  States
+A small worklist engine (:func:`propagate`) shared by the correlation
+auditor (seeded at one firing edge, with propagation cut at
+overwriting edges), the dead-branch detector (seeded at the function
+entry, no cuts) and the feasible-path auditor's witness-restricted
+MFP (:mod:`repro.staticcheck.feasaudit`).  States
 are abstract environments (variable -> :class:`ValueSet`); conditional
 edges are refined by everything the branch direction implies and
 dropped entirely when the direction contradicts the abstract state.
@@ -25,6 +27,9 @@ WIDEN_AFTER = 8
 #: overwritten.
 CutHook = Callable[[BlockSummary, bool], bool]
 
+#: Successor edges of one block from its entry state: (target, state).
+EdgeFn = Callable[[BlockSummary, Env], List[Tuple[str, Env]]]
+
 
 def solve_range_mfp(
     summaries: Dict[str, BlockSummary],
@@ -38,32 +43,50 @@ def solve_range_mfp(
     ``transfers`` is forwarded to :func:`transfer_block`: with it, call
     steps apply interprocedural summary images instead of clobbering to
     top."""
-    states: Dict[str, Env] = dict(seeds)
+
+    def out_edges(summary: BlockSummary, env: Env) -> List[Tuple[str, Env]]:
+        env_out, snapshots = transfer_block(summary, env, transfers)
+        if summary.jump_target is not None:
+            return [(summary.jump_target, env_out)]
+        edges: List[Tuple[str, Env]] = []
+        for direction in (True, False):
+            edge_env = edge_environment(summary, env_out, snapshots, direction)
+            if edge_env is None:
+                continue  # direction impossible from this abstract state
+            if should_cut is not None and should_cut(summary, direction):
+                continue
+            edges.append((edge_target(summary, direction), edge_env))
+        return edges
+
+    return propagate(summaries, seeds, out_edges)
+
+
+def edge_target(summary: BlockSummary, direction: bool) -> str:
+    """The block a conditional edge of ``summary`` leads to."""
+    target = summary.taken_target if direction else summary.fallthrough_target
+    assert target is not None, summary.label
+    return target
+
+
+def propagate(
+    summaries: Dict[str, BlockSummary],
+    start: Dict[str, Env],
+    out_edges: EdgeFn,
+) -> Dict[str, Env]:
+    """The worklist/join/widen engine behind every range MFP here.
+
+    ``start`` holds the initial states — the seeds, or an earlier
+    fixpoint to extend — and every block in it is queued.  States only
+    ever grow, so the result covers ``start`` pointwise."""
+    states: Dict[str, Env] = dict(start)
     join_counts: Dict[str, int] = {}
-    worklist: List[str] = list(seeds)
+    worklist: List[str] = list(states)
     while worklist:
         label = worklist.pop()
         summary = summaries[label]
-        env_out, snapshots = transfer_block(summary, states[label], transfers)
         if summary.is_return:
             continue
-        edges: List[Tuple[str, Env]] = []
-        if summary.jump_target is not None:
-            edges.append((summary.jump_target, env_out))
-        else:
-            for direction in (True, False):
-                edge_env = edge_environment(summary, env_out, snapshots, direction)
-                if edge_env is None:
-                    continue  # direction impossible from this abstract state
-                if should_cut is not None and should_cut(summary, direction):
-                    continue
-                next_label = (
-                    summary.taken_target
-                    if direction
-                    else summary.fallthrough_target
-                )
-                edges.append((next_label, edge_env))
-        for next_label, env in edges:
+        for next_label, env in out_edges(summary, states[label]):
             if next_label not in states:
                 states[next_label] = env
                 worklist.append(next_label)

@@ -3,9 +3,10 @@
 Each pass is a named :class:`CheckPass` mapping a compiled
 :class:`~repro.pipeline.ProtectedProgram` to a list of diagnostics.
 ``run_passes`` shares the expensive lower-layer analyses (alias sets,
-purity) across passes, times each pass through a
-:class:`~repro.observability.metrics.MetricsRegistry` span
-(``staticcheck.<pass>``), and returns all findings sorted.
+purity) across passes, times each pass as the phase
+``staticcheck.<pass>`` (a ``staticcheck.<pass>_seconds`` histogram when
+a :class:`~repro.observability.metrics.MetricsRegistry` is given), and
+returns all findings sorted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..analysis.alias import analyze_aliases
 from ..analysis.purity import PurityResult, analyze_purity
 from ..observability.metrics import MetricsRegistry
+from ..observability.tracing import phase
 from .audit import audit_image, audit_program
 from .coverage import coverage_report
 from .deadcode import find_dead_branches
@@ -119,13 +121,11 @@ def run_passes(
     purity = analyze_purity(program.module)
     diagnostics: List[Diagnostic] = []
     for check in selected:
+        with phase(f"staticcheck.{check.name}", metrics=metrics):
+            found = check.runner(program, purity)
         if metrics is not None:
-            with metrics.span(f"staticcheck.{check.name}"):
-                found = check.runner(program, purity)
             metrics.increment(
                 f"staticcheck.{check.name}.diagnostics", len(found)
             )
-        else:
-            found = check.runner(program, purity)
         diagnostics.extend(found)
     return sorted(diagnostics, key=Diagnostic.sort_key)

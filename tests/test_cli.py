@@ -206,7 +206,7 @@ def test_metrics_out_manifests_for_all_commands(source_file, tmp_path, capsys):
 
     def read_manifest():
         payload = json.loads(manifest.read_text())
-        assert payload["manifest_version"] == 1
+        assert payload["manifest_version"] == 2
         assert payload["finished_at"] is not None
         assert "counters" in payload["metrics"]
         return payload
@@ -271,7 +271,7 @@ def test_campaign_trace_out_outcome_records(tmp_path, capsys):
     outcomes = tmp_path / "outcomes.jsonl"
     assert main(
         ["campaign", "sysklogd", "--attacks", "3",
-         "--trace-out", str(outcomes)]
+         "--outcomes-out", str(outcomes)]
     ) == 0
     capsys.readouterr()
     records = [
@@ -281,6 +281,10 @@ def test_campaign_trace_out_outcome_records(tmp_path, capsys):
     assert [record["index"] for record in records] == [0, 1, 2]
     assert all(record["workload"] == "sysklogd" for record in records)
     assert {"detected", "control_flow_changed", "target"} <= records[0].keys()
+    # --trace-out means the event trace of run/attack/timing only.
+    with pytest.raises(SystemExit):
+        main(["campaign", "sysklogd", "--attacks", "1",
+              "--trace-out", str(outcomes)])
 
 
 # -- audit / lint ------------------------------------------------------
@@ -373,7 +377,8 @@ def test_audit_workload_target_and_reports(tmp_path, capsys):
     record = json.loads(manifest.read_text())
     assert record["command"] == "audit"
     assert record["results"]["errors"] == 0
-    assert "staticcheck.correlation-audit" in record["metrics"]["timers"]
+    histograms = record["metrics"]["histograms"]
+    assert histograms["staticcheck.correlation-audit_seconds"]["count"] == 1
 
 
 def test_sarif_to_stdout(source_file, capsys):

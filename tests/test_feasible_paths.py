@@ -25,7 +25,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import feasible
@@ -682,8 +682,34 @@ def test_findings_witness_the_fixpoint_pruned_set(source):
             assert finding.witness == expected
 
 
+def _two_global_main(*body):
+    lines = ["int a;", "int b;", "void main() {",
+             "  a = read_int();", "  b = read_int();"]
+    return "\n".join(lines + [f"  {line}" for line in body] + ["}"])
+
+
+# The pinned examples once made the relaxed MFP end tighter than the
+# pruning one: the one-hole join is not monotone, so the pruning
+# solver's ``{0} ⊔ {2} = [0, 2]`` can lose a hole the relaxed path keeps.
 @settings(max_examples=25, deadline=None)
 @given(source=branchy_source())
+@example(source=_two_global_main(
+    "if (a < 1) { a = 0; }",
+    "if (a > 0) { b = 2; }",
+    "if (b != 1) { a = 0; } else { b = 0; }",
+    "if (a < 0) { emit(1); } else { emit(2); }",
+))
+@example(source=_two_global_main(
+    "if (a < 0) { b = 0; }",
+    "if (a == -1) { a = -1; }",
+    "if (a < -2) { a = 0; }",
+    "if (a == 0) { emit(1); } else { emit(2); }",
+))
+@example(source=_two_global_main(
+    "if (a < 0) { a = 0; } else { a = 2; }",
+    "if (a == 1) { a = 0; }",
+    "if (a == 0) { emit(1); } else { emit(2); }",
+))
 def test_witness_restricted_mfp_bounds_the_audit_mfp(source):
     """With an empty witness the auditor's relaxed solver must cover
     everything the pruning solver derives (it never drops an edge)."""

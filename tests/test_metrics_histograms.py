@@ -8,20 +8,27 @@ kinds, and safe under concurrent session completion.
 """
 
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability import Histogram, MetricsRegistry, exponential_bounds
+from repro.observability import (
+    Histogram,
+    MetricsRegistry,
+    exponential_bounds,
+    phase,
+    tracing,
+)
 
 # Exact binary fractions with <= 6 decimal digits: immune to the
 # snapshot round(…, 6) so merged floats compare exactly.
 EXACT_SECONDS = st.sampled_from([0.0, 0.015625, 0.25, 0.5, 1.0, 2.5])
 
 SNAPSHOTS = st.builds(
-    lambda counters, timers, gauges, histograms: _make_snapshot(
-        counters, timers, gauges, histograms
+    lambda counters, phases, gauges, histograms: _make_snapshot(
+        counters, phases, gauges, histograms
     ),
     st.dictionaries(
         st.sampled_from(["a", "b", "c"]), st.integers(0, 1000), max_size=3
@@ -42,13 +49,22 @@ SNAPSHOTS = st.builds(
 )
 
 
-def _make_snapshot(counters, timers, gauges, histograms):
+def scripted_phases(registry, name, durations):
+    """Run one :func:`phase` per duration under a scripted clock, so
+    each ``<name>_seconds`` sample is exactly the given duration."""
+    clock = [reading for seconds in durations for reading in (0.0, seconds)]
+    with mock.patch.object(tracing, "perf_counter", side_effect=clock):
+        for _ in durations:
+            with phase(name, metrics=registry):
+                pass
+
+
+def _make_snapshot(counters, phases, gauges, histograms):
     registry = MetricsRegistry()
     for name, value in counters.items():
         registry.increment(name, value)
-    for name, samples in timers.items():
-        for sample in samples:
-            registry.observe_seconds(name, sample)
+    for name, samples in phases.items():
+        scripted_phases(registry, name, samples)
     for name, value in gauges.items():
         registry.set_gauge(name, value)
     for name, samples in histograms.items():
@@ -135,11 +151,8 @@ def test_merge_order_never_changes_accumulating_kinds(snapshots):
     left, right = forward.snapshot(), backward.snapshot()
     # Gauges are point-in-time (latest writer wins) so they may differ;
     # every accumulating kind must not.
-    for kind in ("counters", "timers", "histograms"):
+    for kind in ("counters", "histograms"):
         assert left.get(kind, {}) == right.get(kind, {})
-    assert sorted(s["name"] for s in left["spans"]) == sorted(
-        s["name"] for s in right["spans"]
-    )
 
 
 def test_merge_snapshot_under_concurrent_daemon_sessions():
@@ -154,7 +167,7 @@ def test_merge_snapshot_under_concurrent_daemon_sessions():
         session = MetricsRegistry()
         for sample in range(samples_each):
             session.increment("serve.completed")
-            session.observe_histogram("session.wall_seconds", 0.25 * sample)
+            session.observe_histogram("session_seconds", 0.25 * sample)
             session.observe_histogram("serve.queue_wait_seconds", 0.5)
         with lock:
             daemon.merge_snapshot(session.snapshot())
@@ -170,7 +183,7 @@ def test_merge_snapshot_under_concurrent_daemon_sessions():
 
     total = sessions * samples_each
     assert daemon.value("serve.completed") == total
-    wall = daemon.histogram("session.wall_seconds")
+    wall = daemon.histogram("session_seconds")
     assert wall.count == total
     assert wall.sum == pytest.approx(sessions * 0.25 * sum(range(samples_each)))
     queue = daemon.histogram("serve.queue_wait_seconds")

@@ -8,10 +8,10 @@ from repro.observability import (
     JsonlWriter,
     MetricsRegistry,
     RunManifest,
-    Timer,
+    Tracer,
     export_trace,
+    phase,
     write_manifest,
-    write_metrics_jsonl,
 )
 from repro.observability.manifest import MANIFEST_VERSION
 
@@ -28,17 +28,6 @@ def test_counter_increment():
     assert counter.value == 5
 
 
-def test_timer_aggregates_samples():
-    timer = Timer("t")
-    timer.observe(0.2)
-    timer.observe(0.4)
-    assert timer.count == 2
-    assert abs(timer.total_seconds - 0.6) < 1e-9
-    assert timer.min_seconds == 0.2
-    assert timer.max_seconds == 0.4
-    assert abs(timer.mean_seconds - 0.3) < 1e-9
-
-
 def test_registry_counters_and_values():
     registry = MetricsRegistry()
     assert registry.value("missing") == 0
@@ -47,66 +36,73 @@ def test_registry_counters_and_values():
     assert registry.value("a") == 3
 
 
-def test_registry_span_records_timer_and_span():
+def test_phase_records_one_seconds_sample():
     registry = MetricsRegistry()
-    with registry.span("stage"):
+    with phase("stage", metrics=registry) as stage:
         pass
-    assert registry.timer("stage").count == 1
-    assert len(registry.spans) == 1
-    assert registry.spans[0].name == "stage"
-    assert registry.spans[0].seconds >= 0.0
+    histogram = registry.histogram("stage_seconds")
+    assert histogram.count == 1
+    assert stage.seconds >= 0.0
+    assert histogram.sum == stage.seconds
+    assert stage.record is None  # no tracer, no span
+    assert list(registry.histograms) == ["stage_seconds"]
 
 
 def test_span_recorded_even_when_body_raises():
     registry = MetricsRegistry()
+    tracer = Tracer()
     try:
-        with registry.span("boom"):
+        with phase("boom", tracer, registry):
             raise RuntimeError("x")
     except RuntimeError:
         pass
-    assert registry.timer("boom").count == 1
+    assert registry.histogram("boom_seconds").count == 1
+    assert [span.name for span in tracer.finished] == ["boom"]
+    assert tracer.current_span is None
 
 
 def test_snapshot_is_plain_and_sorted():
     registry = MetricsRegistry()
     registry.increment("zebra")
     registry.increment("alpha", 2)
-    registry.observe_seconds("t", 0.5)
+    with phase("t", metrics=registry):
+        pass
     snapshot = registry.snapshot()
     assert list(snapshot["counters"]) == ["alpha", "zebra"]
     assert snapshot["counters"]["alpha"] == 2
-    assert snapshot["timers"]["t"]["count"] == 1
+    assert snapshot["histograms"]["t_seconds"]["count"] == 1
     # picklable/JSON-ready: round-trips through json untouched
     assert json.loads(json.dumps(snapshot)) == snapshot
 
 
-def test_merge_snapshot_folds_counters_timers_spans():
+def test_merge_snapshot_folds_counters_and_phase_histograms():
     child = MetricsRegistry()
     child.increment("n", 5)
-    child.observe_seconds("t", 0.1)
-    child.observe_seconds("t", 0.3)
-    with child.span("s"):
-        pass
+    durations = []
+    for _ in range(2):
+        with phase("t", metrics=child) as timed:
+            pass
+        durations.append(timed.seconds)
 
     parent = MetricsRegistry()
     parent.increment("n", 1)
-    parent.observe_seconds("t", 0.2)
+    with phase("t", metrics=parent) as timed:
+        pass
+    durations.append(timed.seconds)
     parent.merge_snapshot(child.snapshot())
 
     assert parent.value("n") == 6
-    timer = parent.timer("t")
-    assert timer.count == 3
-    assert abs(timer.total_seconds - 0.6) < 1e-6
-    assert timer.min_seconds == 0.1
-    assert timer.max_seconds == 0.3
-    assert [span.name for span in parent.spans] == ["s"]
+    histogram = parent.histogram("t_seconds")
+    assert histogram.count == 3
+    assert abs(histogram.sum - sum(durations)) < 1e-9
+    assert sum(histogram.counts) == 3
 
 
 def test_merge_snapshot_tolerates_none_and_empty():
     registry = MetricsRegistry()
     registry.merge_snapshot(None)
     registry.merge_snapshot({})
-    assert registry.snapshot() == {"counters": {}, "timers": {}, "spans": []}
+    assert registry.snapshot() == {"counters": {}}
 
 
 # ----------------------------------------------------------------------
@@ -174,23 +170,6 @@ def test_write_manifest_jsonl_appends(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert all(json.loads(line)["command"] == "demo" for line in lines)
-
-
-def test_write_metrics_jsonl_kinds_and_label(tmp_path):
-    registry = MetricsRegistry()
-    registry.increment("c", 2)
-    with registry.span("s"):
-        pass
-    path = tmp_path / "metrics.jsonl"
-    count = write_metrics_jsonl(registry, str(path), label="run-1")
-    records = [
-        json.loads(line) for line in path.read_text().splitlines()
-    ]
-    assert count == len(records) == 3  # counter + timer + span
-    assert {record["kind"] for record in records} == {
-        "counter", "timer", "span"
-    }
-    assert all(record["label"] == "run-1" for record in records)
 
 
 def test_export_trace_round_trips_through_replay(tmp_path):

@@ -10,13 +10,14 @@ from repro.observability import (
 )
 from repro.observability.prometheus import sanitize_metric_name
 
+from .test_metrics_histograms import scripted_phases
+
 
 def _loaded_registry():
     registry = MetricsRegistry()
     registry.increment("serve.submitted", 12)
     registry.set_gauge("serve.sessions_active", 3)
-    registry.observe_seconds("compile", 0.25)
-    registry.observe_seconds("compile", 0.75)
+    scripted_phases(registry, "compile", [0.25, 0.75])
     registry.observe_histogram("session.wall_seconds", 0.002)
     registry.observe_histogram("session.wall_seconds", 0.004)
     registry.observe_histogram("session.steps_per_sec", 250_000.0)
@@ -28,7 +29,10 @@ def test_render_covers_every_metric_kind():
     assert "# TYPE repro_serve_submitted_total counter" in text
     assert "repro_serve_submitted_total 12" in text
     assert "# TYPE repro_serve_sessions_active gauge" in text
-    assert "# TYPE repro_compile_seconds summary" in text
+    # A phase's duration histogram keeps the family name of the
+    # timer summary it replaced.
+    assert "# TYPE repro_compile_seconds histogram" in text
+    assert 'repro_compile_seconds_bucket{le="+Inf"} 2' in text
     assert "repro_compile_seconds_count 2" in text
     assert "repro_compile_seconds_sum 1.0" in text
     assert "# TYPE repro_session_wall_seconds histogram" in text

@@ -268,21 +268,69 @@ def test_metrics_prometheus_format_and_histograms(daemon):
             time.sleep(0.01)
         assert metrics["uptime_monotonic_seconds"] > 0
         histograms = metrics["histograms"]
-        assert histograms["session.wall_seconds"]["count"] == 1
+        assert histograms["session_seconds"]["count"] == 1
         assert histograms["session.compile_seconds"]["count"] == 1
+        assert histograms["session.attack_seconds"]["count"] == 1
         assert histograms["serve.queue_wait_seconds"]["count"] == 1
         assert histograms["session.steps_per_sec"]["count"] == 1
 
         text = client.metrics_prometheus()
         assert validate_exposition(text) == []
         assert "repro_serve_submitted_total 1" in text
-        assert 'repro_session_wall_seconds_bucket{le="+Inf"} 1' in text
+        assert 'repro_session_seconds_bucket{le="+Inf"} 1' in text
 
         # Unknown formats are protocol errors; the daemon survives.
         with pytest.raises(ProtocolError):
             client._request("metrics", format="xml")
         assert client.hello()["protocol"] == 1
         client.shutdown()
+
+
+def test_metrics_snapshot_size_is_independent_of_sessions_served():
+    """The daemon folds every finished session into its registry: the
+    histogram counts must grow with the sessions served, the snapshot
+    behind the ``metrics`` op must not (no per-session records)."""
+    from repro.observability import render_prometheus
+    from repro.service.engine import DetectionSession
+    from repro.service.protocol import spec_from_payload
+
+    instance = DetectionDaemon()
+
+    def serve(sessions):
+        for _ in range(sessions):
+            session = DetectionSession(
+                spec_from_payload(
+                    {"mode": "run", "source": FIGURE1, "inputs": [5, 1]}
+                )
+            )
+            assert session.run().state == "completed"
+            instance._on_session_done(session)
+
+    def shape(value):
+        """The structure of a snapshot, every number zeroed."""
+        if isinstance(value, dict):
+            return {key: shape(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [shape(item) for item in value]
+        return 0 if isinstance(value, (int, float)) else value
+
+    def sizes():
+        payload = shape(instance.metrics_payload())  # sets the gauges
+        snapshot = instance.metrics.snapshot()
+        return (
+            payload,
+            shape(snapshot),
+            len(render_prometheus(snapshot).splitlines()),
+        )
+
+    serve(2)
+    before = sizes()
+    serve(30)
+    assert sizes() == before
+    histograms = instance.metrics.snapshot()["histograms"]
+    assert histograms["session_seconds"]["count"] == 32
+    assert histograms["session.compile_seconds"]["count"] == 32
+    assert histograms["session.execute_seconds"]["count"] == 32
 
 
 def test_metrics_payload_zero_uptime_guard(daemon):
@@ -295,10 +343,10 @@ def test_metrics_payload_zero_uptime_guard(daemon):
 
 
 def test_client_supplied_trace_context_parents_the_session(daemon):
-    from repro.observability import Tracer
+    from repro.observability import Tracer, phase
 
     client_tracer = Tracer(service="edge-client")
-    with client_tracer.span("client-request"):
+    with phase("client-request", client_tracer):
         context = client_tracer.current_context()
 
     with ServeClient(socket_path=daemon.socket_path) as client:
@@ -350,12 +398,16 @@ def test_cli_serve_smoke(tmp_path, capsys):
     """``repro serve`` through the CLI entry point (in-process)."""
     from repro.cli import main
 
+    from repro.observability import validate_chrome_trace
+
     socket_path = str(tmp_path / "cli.sock")
+    trace_path = tmp_path / "serve-trace.json"
     rc_box = {}
 
     def serve():
         rc_box["rc"] = main(
-            ["serve", "--socket", socket_path, "--max-workers", "2"]
+            ["serve", "--socket", socket_path, "--max-workers", "2",
+             "--chrome-trace-out", str(trace_path)]
         )
 
     thread = threading.Thread(target=serve, daemon=True)
@@ -368,3 +420,7 @@ def test_cli_serve_smoke(tmp_path, capsys):
         client.shutdown()
     thread.join(10)
     assert rc_box["rc"] == 0
+    document = json.loads(trace_path.read_text())
+    assert validate_chrome_trace(document) == []
+    names = {event["name"] for event in document["traceEvents"]}
+    assert {"serve", "session", "session.attack"} <= names

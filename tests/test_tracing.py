@@ -7,10 +7,11 @@ import threading
 import pytest
 
 from repro.observability import (
+    MetricsRegistry,
     TraceContext,
     Tracer,
     chrome_trace,
-    maybe_span,
+    phase,
     validate_chrome_trace,
     write_spans,
 )
@@ -23,9 +24,10 @@ from repro.observability import (
 
 def test_nested_spans_build_a_tree():
     tracer = Tracer()
-    with tracer.span("outer", kind="campaign") as outer:
-        with tracer.span("inner") as inner:
+    with phase("outer", tracer, kind="campaign") as outer_phase:
+        with phase("inner", tracer) as inner_phase:
             pass
+    outer, inner = outer_phase.record, inner_phase.record
     assert inner.parent_id == outer.span_id
     assert outer.parent_id is None
     assert outer.trace_id == inner.trace_id == tracer.trace_id
@@ -38,41 +40,41 @@ def test_nested_spans_build_a_tree():
 def test_explicit_parent_overrides_the_stack():
     tracer = Tracer()
     elsewhere = TraceContext(trace_id=tracer.trace_id, span_id="beef" * 4)
-    with tracer.span("top"):
-        with tracer.span("detached", parent=elsewhere) as span:
+    with phase("top", tracer):
+        with phase("detached", tracer, parent=elsewhere) as detached:
             pass
-    assert span.parent_id == elsewhere.span_id
+    assert detached.record.parent_id == elsewhere.span_id
 
 
 def test_current_context_tracks_the_active_span():
     tracer = Tracer()
     root_context = tracer.current_context()
     assert root_context.trace_id == tracer.trace_id
-    with tracer.span("s") as span:
-        assert tracer.current_context() == span.context
+    with phase("s", tracer) as span:
+        assert tracer.current_context() == span.record.context
     assert tracer.current_context() == root_context
 
 
 def test_seeded_tracer_parents_under_the_remote_context():
     parent = Tracer()
-    with parent.span("campaign") as root:
+    with phase("campaign", parent) as root:
         handoff = parent.current_context()
     # ... the handoff crosses a process boundary as a pickle ...
     handoff = pickle.loads(pickle.dumps(handoff))
     worker = Tracer(context=handoff)
     assert worker.trace_id == parent.trace_id
-    with worker.span("shard") as shard:
+    with phase("shard", worker) as shard:
         pass
-    assert shard.parent_id == root.span_id
+    assert shard.record.parent_id == root.record.span_id
 
 
 def test_adopt_folds_worker_spans_into_one_valid_tree():
     parent = Tracer()
-    with parent.span("campaign"):
+    with phase("campaign", parent):
         context = parent.current_context()
         worker = Tracer(context=context)
-        with worker.span("shard"):
-            with worker.span("shard.compile"):
+        with phase("shard", worker):
+            with phase("shard.compile", worker):
                 pass
         # shard results carry spans as plain dicts (picklable)
         shipped = json.loads(json.dumps(worker.span_dicts()))
@@ -86,7 +88,7 @@ def test_thread_local_stacks_do_not_cross_nest():
     barrier = threading.Barrier(2)
 
     def worker(name):
-        with tracer.span(name):
+        with phase(name, tracer):
             barrier.wait()  # both spans provably open at once
 
     threads = [
@@ -100,16 +102,28 @@ def test_thread_local_stacks_do_not_cross_nest():
     assert {span.parent_id for span in tracer.finished} == {None}
 
 
-def test_events_and_maybe_span():
+def test_events_and_untraced_phase():
     tracer = Tracer()
     tracer.event("ignored-outside-any-span")
-    with maybe_span(tracer, "stage", workload="telnetd") as span:
+    with phase("stage", tracer, workload="telnetd") as stage:
         tracer.event("checkpoint", index=3)
+    span = stage.record
     assert span.events[0]["name"] == "checkpoint"
     assert span.events[0]["index"] == 3
-    # Disabled tracing degrades to a nullcontext
-    with maybe_span(None, "stage") as nothing:
-        assert nothing is None
+    # Disabled tracing opens no span but still times the phase.
+    with phase("stage") as untraced:
+        assert untraced.record is None
+    assert untraced.seconds >= 0.0
+
+
+def test_phase_times_span_and_histogram_with_one_clock():
+    tracer, registry = Tracer(), MetricsRegistry()
+    with phase("stage", tracer, registry) as stage:
+        pass
+    assert stage.record.duration_us == int(stage.seconds * 1e6)
+    histogram = registry.histogram("stage_seconds")
+    assert (histogram.count, histogram.sum) == (1, stage.seconds)
+    assert tracer.finished == [stage.record]
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +133,8 @@ def test_events_and_maybe_span():
 
 def _sample_tracer():
     tracer = Tracer()
-    with tracer.span("root", jobs=2):
-        with tracer.span("child"):
+    with phase("root", tracer, jobs=2):
+        with phase("child", tracer):
             tracer.event("mark")
     return tracer
 
